@@ -13,22 +13,18 @@ use std::collections::{BTreeMap, BTreeSet};
 use vampos_apps::{App, Echo, MiniHttpd, MiniKv, MiniSql};
 use vampos_core::{ComponentSet, Mode, System};
 use vampos_host::HostHandle;
-use vampos_sim::{Nanos, TraceEvent};
+use vampos_sim::Nanos;
 use vampos_telemetry::TelemetrySink;
 use vampos_workloads::{EchoLoad, HttpLoad, KvLoad, Schedule, SqlLoad};
 
 use crate::spec::{CampaignSpec, WorkloadKind};
-
-/// Trace capacity for chaos runs: large enough that no MPK violation or
-/// reboot event is evicted mid-campaign.
-const TRACE_CAPACITY: usize = 65_536;
 
 /// Quiesce requests appended after the main stream (also the [`CampaignSpec::tail`]
 /// default the generator uses).
 pub const DEFAULT_TAIL: usize = 16;
 
 /// Everything one run exposes to the oracles.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunResult {
     /// Successful requests in the main + tail stream (plant excluded).
     pub successes: usize,
@@ -40,13 +36,11 @@ pub struct RunResult {
     pub app_digest: u64,
     /// Per-component logical state digests.
     pub component_digests: BTreeMap<String, u64>,
-    /// Components that went through a reboot (composite labels split).
+    /// Components a recovery was started on, aborted ones included (every
+    /// member of a merged group).
     pub rebooted_components: BTreeSet<String>,
-    /// MPK policy violations observed in the trace.
+    /// Wild writes the MPK check denied.
     pub mpk_violations: u64,
-    /// Trace events dropped by the ring buffer (must stay 0 for the
-    /// isolation oracle to be trustworthy).
-    pub trace_dropped: u64,
     /// Downtime windows, in order (component name, duration).
     pub downtime: Vec<(String, Nanos)>,
     /// Component reboots performed.
@@ -91,8 +85,7 @@ fn build_system(spec: &CampaignSpec, sink: Option<&TelemetrySink>) -> Result<Sys
         .mode(Mode::vampos_das())
         .components(component_set(spec.workload))
         .seed(spec.seed)
-        .host(host)
-        .trace_capacity(TRACE_CAPACITY);
+        .host(host);
     if let Some(sink) = sink {
         builder = builder.telemetry(sink.clone());
     }
@@ -134,24 +127,8 @@ pub fn run_with_sink(
     let requests = spec.ops + spec.tail;
 
     let mut result = RunResult {
-        successes: 0,
         requests,
-        reconnects: 0,
-        app_digest: 0,
-        component_digests: BTreeMap::new(),
-        rebooted_components: BTreeSet::new(),
-        mpk_violations: 0,
-        trace_dropped: 0,
-        downtime: Vec::new(),
-        component_reboots: 0,
-        full_reboots: 0,
-        replayed_entries: 0,
-        unfired_faults: Vec::new(),
-        pending_disruptions: 0,
-        arena_bytes: 0,
-        hops_by_target: BTreeMap::new(),
-        duration: Nanos::ZERO,
-        error: None,
+        ..RunResult::default()
     };
 
     let mut sys = match build_system(spec, sink) {
@@ -304,29 +281,31 @@ pub fn run_with_sink(
     };
     result.error = drive_outcome.err();
 
-    // Harvest system-side observables (even after a drive error — a partial
-    // trace still tells the oracles what happened before the failure).
+    // Harvest system-side observables even after a drive error: the
+    // counters still tell the oracles what happened before the failure.
+    harvest(&sys, &mut result);
+    result.pending_disruptions = schedule.pending();
+    result
+}
+
+/// Copies the system-side observables into `result`. The hop, reboot and
+/// violation figures come from the runtime's exact counters, which count
+/// everything since boot and cannot drop events.
+fn harvest(sys: &System, result: &mut RunResult) {
     for name in sys.component_names() {
         if let Some(d) = sys.state_digest(&name) {
-            result.component_digests.insert(name, d);
+            result.component_digests.insert(name.clone(), d);
+        }
+        if sys.reboot_attempts(&name) > 0 {
+            result.rebooted_components.insert(name.clone());
+        }
+        let hops = sys.calls_into(&name);
+        if hops > 0 {
+            result.hops_by_target.insert(name, hops);
         }
     }
-    for event in sys.trace().iter() {
-        match event {
-            TraceEvent::MpkViolation { .. } => result.mpk_violations += 1,
-            TraceEvent::RebootStart { component } => {
-                for part in component.split('+') {
-                    result.rebooted_components.insert(part.to_owned());
-                }
-            }
-            TraceEvent::MessageHop { target, .. } => {
-                *result.hops_by_target.entry(target.clone()).or_insert(0) += 1;
-            }
-            _ => {}
-        }
-    }
-    result.trace_dropped = sys.trace().dropped();
     let stats = sys.stats();
+    result.mpk_violations = stats.mpk_violations;
     result.component_reboots = stats.component_reboots;
     result.full_reboots = stats.full_reboots;
     result.replayed_entries = stats.replayed_entries;
@@ -341,15 +320,14 @@ pub fn run_with_sink(
         .filter(|f| f.fired == 0)
         .map(|f| format!("{:?} on {}", f.kind, f.component))
         .collect();
-    result.pending_disruptions = schedule.pending();
     result.arena_bytes = sys.memory_report().arenas;
-    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{EventKind, EventSpec};
+    use crate::oracle::OracleKind;
+    use crate::spec::{EventKind, EventSpec, FaultSpec};
 
     fn base(workload: WorkloadKind) -> CampaignSpec {
         CampaignSpec {
@@ -422,5 +400,126 @@ mod tests {
             "hops: {:?}",
             r.hops_by_target
         );
+    }
+
+    /// Boots `spec`'s system, lets `act` disturb it, and harvests the
+    /// observables the oracles would see.
+    fn observe(spec: &CampaignSpec, act: impl FnOnce(&mut System)) -> RunResult {
+        let mut sys = build_system(spec, None).expect("boot");
+        act(&mut sys);
+        let mut result = RunResult::default();
+        harvest(&sys, &mut result);
+        result
+    }
+
+    #[test]
+    fn a_planted_wild_write_raises_mpk_violations_and_fires_the_isolation_oracle() {
+        let spec = base(WorkloadKind::Http);
+        let clean = observe(&spec, |_| {});
+        assert_eq!(clean.mpk_violations, 0);
+        let faulted = observe(&spec, |sys| {
+            sys.trigger_wild_write("lwip", "vfs")
+                .expect_err("isolation must catch the wild write");
+        });
+        assert_eq!(faulted.mpk_violations, 1);
+        assert!(faulted.rebooted_components.contains("lwip"));
+        let violations = crate::oracle::check(&spec, &faulted, &clean);
+        assert!(
+            violations.iter().any(|v| v.kind == OracleKind::Isolation),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn an_aborted_reboot_still_marks_its_component_rebooted() {
+        let r = observe(&base(WorkloadKind::Kv), |sys| {
+            sys.arm_reboot_interrupt("vfs");
+            sys.reboot_component("vfs")
+                .expect_err("the armed interrupt aborts the reboot");
+        });
+        assert_eq!(r.component_reboots, 0, "only completed reboots count");
+        assert_eq!(
+            r.rebooted_components,
+            BTreeSet::from(["vfs".to_owned()]),
+            "a recovery was started on vfs"
+        );
+    }
+
+    #[test]
+    fn hops_by_target_matches_the_pinned_http_campaign() {
+        // An injected panic and hang each stop one call before its request
+        // hop; the in-line retry is the call that counts.
+        let spec = CampaignSpec {
+            workload: WorkloadKind::Http,
+            seed: 42,
+            ops: 32,
+            tail: 16,
+            events: vec![
+                EventSpec {
+                    at_ns: 20_000_000,
+                    kind: EventKind::Inject {
+                        component: "vfs".into(),
+                        after: 3,
+                        fault: FaultSpec::Panic,
+                    },
+                },
+                EventSpec {
+                    at_ns: 40_000_000,
+                    kind: EventKind::Inject {
+                        component: "9pfs".into(),
+                        after: 2,
+                        fault: FaultSpec::Hang,
+                    },
+                },
+                EventSpec {
+                    at_ns: 60_000_000,
+                    kind: EventKind::ComponentReboot("netdev".into()),
+                },
+            ],
+            ..base(WorkloadKind::Http)
+        };
+        let r = run(&spec, true);
+        assert_eq!(r.error, None);
+        assert!(r.unfired_faults.is_empty(), "{:?}", r.unfired_faults);
+        let pinned: BTreeMap<String, u64> = [
+            ("9pfs", 52),
+            ("lwip", 151),
+            ("netdev", 198),
+            ("vfs", 202),
+            ("virtio", 250),
+        ]
+        .into_iter()
+        .map(|(name, hops)| (name.to_owned(), hops))
+        .collect();
+        assert_eq!(r.hops_by_target, pinned);
+        let rebooted: BTreeSet<String> = ["9pfs", "netdev", "vfs"]
+            .into_iter()
+            .map(str::to_owned)
+            .collect();
+        assert_eq!(r.rebooted_components, rebooted);
+    }
+
+    #[test]
+    fn counts_stay_exact_past_any_event_budget() {
+        // More calls than the 65 536 events a bounded trace could hold,
+        // with the violation first in line to be evicted from one.
+        let mut sys = build_system(&base(WorkloadKind::Http), None).expect("boot");
+        sys.trigger_wild_write("vfs", "9pfs")
+            .expect_err("isolation must catch the wild write");
+        let mut app = MiniHttpd::default();
+        app.boot(&mut sys).expect("app boot");
+        http_load()
+            .run_requests(&mut sys, &mut app, 4_000, &mut Schedule::new(Vec::new()))
+            .expect("drive");
+        let mut r = RunResult::default();
+        harvest(&sys, &mut r);
+        let calls: u64 = r.hops_by_target.values().sum();
+        assert!(calls > 65_536, "{calls} calls");
+        assert_eq!(r.mpk_violations, 1);
+        assert!(r.rebooted_components.contains("vfs"));
+        // Every call in this fault-free drive crossed protection domains
+        // with a request and a reply hop, which the scheduler counts on its
+        // own.
+        assert_eq!(calls * 2, sys.stats().msg_hops);
     }
 }

@@ -122,6 +122,9 @@ impl System {
         let span_start = pending.as_ref().map(|p| p.detect_start).unwrap_or(start);
         let detect_end = pending.as_ref().map(|p| p.detect_end).unwrap_or(start);
         self.emit(|c| c.recovery_begin(&label, trigger, span_start));
+        for &member in &members {
+            self.slots[member].reboot_attempts += 1;
+        }
         self.emit(|c| {
             c.recovery_phase(&label, RecoveryPhase::FailureDetect, span_start, detect_end)
         });
@@ -468,8 +471,7 @@ impl System {
             self.stats.missed_detections += 1;
             self.slots[tid].up = false;
             let at = self.clock.now();
-            let text = format!("detector missed failure of {target}: {err}");
-            self.emit(|c| c.note(&text, at));
+            self.emit(|c| c.note(&format!("detector missed failure of {target}: {err}"), at));
             return Err(err);
         }
         self.stats.failures += 1;
@@ -552,9 +554,13 @@ impl System {
         if self.graceful {
             self.slots[tid].up = false;
             self.slots[tid].condemned = true;
-            let text = format!("component {name} condemned; system degraded: {reason}");
             let at = self.clock.now();
-            self.emit(|c| c.note(&text, at));
+            self.emit(|c| {
+                c.note(
+                    &format!("component {name} condemned; system degraded: {reason}"),
+                    at,
+                )
+            });
             return OsError::FailStop {
                 reason: format!("{reason} (component {name} condemned; system degraded)"),
             };

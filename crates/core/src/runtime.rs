@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use vampos_host::HostHandle;
 use vampos_mem::Snapshot;
 use vampos_mpk::{AccessKind, DomainId, KeyRegistry, Pkru};
-use vampos_sim::{CostModel, EventTrace, Nanos, SimClock, SimRng};
+use vampos_sim::{CostModel, Nanos, SimClock, SimRng};
 use vampos_telemetry::{Collector, TelemetrySink};
 use vampos_ukernel::{names, CallContext, ComponentBox, ComponentDescriptor, OsError, Value};
 
@@ -31,6 +31,12 @@ pub(crate) struct Slot {
     pub(crate) group: usize,
     pub(crate) boot_snapshot: Option<Snapshot>,
     pub(crate) reboots: u64,
+    /// Cross-component calls that reached this component (counted once the
+    /// call is past fault injection, i.e. when its request hop is charged).
+    pub(crate) calls_in: u64,
+    /// Recoveries started on this component, aborted ones included (unlike
+    /// `reboots`, which counts only completed ones).
+    pub(crate) reboot_attempts: u64,
     /// Permanently down (graceful degradation after unrecoverable failure).
     pub(crate) condemned: bool,
     /// The stored boot checkpoint fails validation (chaos fault injection);
@@ -78,7 +84,6 @@ pub struct System {
     pub(crate) clock: SimClock,
     pub(crate) costs: CostModel,
     pub(crate) rng: SimRng,
-    pub(crate) trace: EventTrace,
     pub(crate) mode: Mode,
     pub(crate) set: ComponentSet,
     pub(crate) host: HostHandle,
@@ -132,7 +137,6 @@ pub struct SystemBuilder {
     seed: u64,
     host: Option<HostHandle>,
     auto_recover: bool,
-    trace_capacity: usize,
     extra: Vec<ComponentBox>,
     graceful: bool,
     alternates: Vec<ComponentBox>,
@@ -160,7 +164,6 @@ impl Default for SystemBuilder {
             seed: 0x5EED,
             host: None,
             auto_recover: true,
-            trace_capacity: 4096,
             extra: Vec::new(),
             graceful: false,
             alternates: Vec::new(),
@@ -209,16 +212,12 @@ impl SystemBuilder {
         self
     }
 
-    /// Event-trace capacity (events retained).
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
     /// Attaches a telemetry sink: every cross-component call, syscall and
     /// recovery is additionally recorded as a timestamped span (with
     /// per-component metrics) in the sink's [`vampos_telemetry::TelemetryHub`].
-    /// The legacy event trace keeps recording either way.
+    /// Without a sink the runtime builds no observability data at all; the
+    /// exact counters ([`System::stats`], [`System::calls_into`],
+    /// [`System::reboot_attempts`]) are kept either way.
     pub fn telemetry(mut self, sink: TelemetrySink) -> Self {
         self.telemetry = Some(sink);
         self
@@ -360,6 +359,8 @@ impl SystemBuilder {
                 group,
                 boot_snapshot: None,
                 reboots: 0,
+                calls_in: 0,
+                reboot_attempts: 0,
                 condemned: false,
                 checkpoint_corrupt: false,
             });
@@ -373,7 +374,6 @@ impl SystemBuilder {
             clock: self.clock.unwrap_or_default(),
             costs: self.costs,
             rng: SimRng::seed_from(self.seed),
-            trace: EventTrace::with_capacity(self.trace_capacity),
             mode: self.mode,
             set: self.set,
             host,
@@ -509,29 +509,18 @@ impl System {
         &mut self.stats
     }
 
-    /// The event trace.
-    pub fn trace(&self) -> &EventTrace {
-        &self.trace
-    }
-
     /// The attached telemetry sink, if any.
     pub fn telemetry(&self) -> Option<&TelemetrySink> {
         self.telemetry.as_ref()
     }
 
-    /// Fans one observability event out to every collector: the legacy
-    /// event trace first (preserving its historical push order), then the
-    /// telemetry hub when one is attached.
-    pub(crate) fn emit(&mut self, f: impl Fn(&mut dyn Collector)) {
-        f(&mut self.trace);
+    /// Hands one observability event to the telemetry hub, when one is
+    /// attached. Without a hub `f` never runs, so event arguments computed
+    /// inside it cost nothing.
+    pub(crate) fn emit(&self, f: impl FnOnce(&mut dyn Collector)) {
         if let Some(sink) = &self.telemetry {
             sink.with(|hub| f(hub));
         }
-    }
-
-    /// Clears the event trace (keeps recording).
-    pub fn trace_clear(&mut self) {
-        self.trace.clear();
     }
 
     /// True once the system has fail-stopped (§II-B).
@@ -682,6 +671,26 @@ impl System {
             .unwrap_or(0)
     }
 
+    /// Recoveries started on `component`, including ones that aborted
+    /// partway (which [`System::reboot_count`] does not count). Every
+    /// member of a merged group is counted when the group reboots.
+    pub fn reboot_attempts(&self, component: &str) -> u64 {
+        self.by_name
+            .get(component)
+            .map(|&i| self.slots[i].reboot_attempts)
+            .unwrap_or(0)
+    }
+
+    /// Cross-component calls into `component` since boot. A call counts
+    /// once it passes fault injection, so a call an injected panic or hang
+    /// stopped before its request hop does not (its retry does).
+    pub fn calls_into(&self, component: &str) -> u64 {
+        self.by_name
+            .get(component)
+            .map(|&i| self.slots[i].calls_in)
+            .unwrap_or(0)
+    }
+
     /// Names of all linked components, in boot order.
     pub fn component_names(&self) -> Vec<String> {
         self.slots.iter().map(|s| s.name.clone()).collect()
@@ -740,6 +749,7 @@ impl System {
         let permitted = pkru.permits(victim_key, AccessKind::Write);
         if isolation && !permitted {
             self.stats.mpk_switches += 1;
+            self.stats.mpk_violations += 1;
             let at = self.clock.now();
             self.emit(|c| c.mpk_violation(from, to, at));
             self.stats.failures += 1;
@@ -960,10 +970,8 @@ impl System {
         let args_bytes: usize = args.iter().map(Value::byte_len).sum();
         let hop_start = self.clock.now();
         self.charge_request_hop(caller, tid, args_bytes, logged);
-        let caller_name = caller
-            .map(|c| self.slots[c].name.clone())
-            .unwrap_or_else(|| names::APP.to_owned());
-        self.emit(|c| c.call_begin(&caller_name, target, func, hop_start));
+        self.slots[tid].calls_in += 1;
+        self.emit(|c| c.call_begin(self.caller_name(caller), target, func, hop_start));
 
         let mut comp = self.slots[tid].comp.take().expect("checked above");
         let mut ctx = Ctx {
@@ -1002,10 +1010,13 @@ impl System {
                 Err(err)
             }
         };
-        let end = self.clock.now();
-        let ok = outcome.is_ok();
-        self.emit(|c| c.call_end(end, ok));
+        self.emit(|c| c.call_end(self.clock.now(), outcome.is_ok()));
         outcome
+    }
+
+    /// The name of a call's caller: a component slot, or the application.
+    fn caller_name(&self, caller: Option<usize>) -> &str {
+        caller.map_or(names::APP, |c| self.slots[c].name.as_str())
     }
 
     fn append_log(
@@ -1017,45 +1028,40 @@ impl System {
         ret: &Value,
         downcalls: Vec<DownRec>,
     ) {
-        let caller_name = caller
-            .map(|c| self.slots[c].name.clone())
-            .unwrap_or_else(|| names::APP.to_owned());
-        let cfg = self.mode.vamp_config().cloned().unwrap_or_default();
-        let slot = &mut self.slots[tid];
+        // Copy out the two knobs rather than clone the config (and its
+        // merge lists) on every logged call.
+        let cfg = self
+            .mode
+            .vamp_config()
+            .expect("only VampOS modes log calls");
+        let (shrinking, threshold) = (cfg.log_shrinking, cfg.shrink_threshold);
+        let (slot, caller_name) = slot_with_caller(&mut self.slots, tid, caller);
         let event = slot
             .comp
             .as_ref()
             .expect("component present")
             .session_event(func, args, ret);
-        let outcome = slot.log.append(
-            &caller_name,
-            func,
-            args,
-            ret,
-            downcalls,
-            event,
-            cfg.log_shrinking,
-        );
+        let outcome = slot
+            .log
+            .append(caller_name, func, args, ret, downcalls, event, shrinking);
+        let live = slot.log.len() as u64;
         self.stats.log_appended += 1;
         self.stats.log_removed += outcome.removed as u64;
         if outcome.removed > 0 {
             let removed = outcome.removed;
-            let name = slot.name.clone();
             self.clock
-                .advance(self.costs.log_shrink_scan * (removed as u64 + slot.log.len() as u64));
+                .advance(self.costs.log_shrink_scan * (removed as u64 + live));
             let at = self.clock.now();
-            self.emit(|c| c.log_shrunk(&name, removed, at));
+            self.emit(|c| c.log_shrunk(&self.slots[tid].name, removed, at));
         }
         // Threshold-triggered compaction of still-open sessions (§V-F).
-        if cfg.log_shrinking && self.slots[tid].log.len() > cfg.shrink_threshold {
+        if shrinking && self.slots[tid].log.len() > threshold {
             self.compact_component_log(tid);
         }
-        if self.telemetry.is_some() {
-            let name = self.slots[tid].name.clone();
-            let bytes = self.slots[tid].log.byte_len();
-            let records = self.slots[tid].log.record_count();
-            self.emit(|c| c.log_stats(&name, bytes, records));
-        }
+        self.emit(|c| {
+            let slot = &self.slots[tid];
+            c.log_stats(&slot.name, slot.log.byte_len(), slot.log.record_count());
+        });
     }
 
     fn compact_component_log(&mut self, tid: usize) {
@@ -1074,9 +1080,25 @@ impl System {
         if removed_total > 0 {
             self.clock.advance(self.costs.compaction_pause);
             self.stats.log_removed += removed_total as u64;
-            let name = self.slots[tid].name.clone();
             let at = self.clock.now();
-            self.emit(|c| c.log_shrunk(&name, removed_total, at));
+            self.emit(|c| c.log_shrunk(&self.slots[tid].name, removed_total, at));
+        }
+    }
+}
+
+/// Borrows slot `tid` mutably together with the name of `caller` (another
+/// slot, or the application when `None`). A component never calls itself —
+/// its slot is empty while it runs — so the two never alias.
+fn slot_with_caller(slots: &mut [Slot], tid: usize, caller: Option<usize>) -> (&mut Slot, &str) {
+    match caller {
+        None => (&mut slots[tid], names::APP),
+        Some(c) if c < tid => {
+            let (lo, hi) = slots.split_at_mut(tid);
+            (&mut hi[0], lo[c].name.as_str())
+        }
+        Some(c) => {
+            let (lo, hi) = slots.split_at_mut(c);
+            (&mut lo[tid], hi[0].name.as_str())
         }
     }
 }
@@ -1184,11 +1206,10 @@ impl CallContext for Ctx<'_> {
     fn trace_instant(&mut self, name: &str, detail: &str) {
         // Replayed downcalls must not re-emit their original instants: the
         // replay already renders as a `log_replay` phase span.
-        if self.replay.is_some() || self.sys.telemetry.is_none() {
+        if self.replay.is_some() {
             return;
         }
-        let track = self.sys.slots[self.me].name.clone();
-        let at = self.sys.clock.now();
-        self.sys.emit(|c| c.instant(&track, name, detail, at));
+        let sys = &*self.sys;
+        sys.emit(|c| c.instant(&sys.slots[self.me].name, name, detail, sys.clock.now()));
     }
 }

@@ -34,6 +34,8 @@ pub struct SystemStats {
     pub ctx_switches: u64,
     /// PKRU writes (protection-domain switches).
     pub mpk_switches: u64,
+    /// Wild writes the MPK check denied (isolation violations caught).
+    pub mpk_violations: u64,
     /// Dependency-aware dispatches whose target was *not* in the caller's
     /// declared dependency set (the scheduler falls back to a full scan).
     pub das_mispredicts: u64,
@@ -66,12 +68,17 @@ pub struct SystemStats {
 }
 
 impl SystemStats {
-    /// Records one syscall timing sample.
+    /// Records one syscall timing sample. A name's key is allocated only
+    /// the first time the name is seen.
     pub fn record_syscall(&mut self, name: &str, took: Nanos) {
-        self.syscall_times
-            .entry(name.to_owned())
-            .or_default()
-            .record_nanos(took);
+        match self.syscall_times.get_mut(name) {
+            Some(summary) => summary.record_nanos(took),
+            None => self
+                .syscall_times
+                .entry(name.to_owned())
+                .or_default()
+                .record_nanos(took),
+        }
     }
 
     /// Total downtime across all windows.

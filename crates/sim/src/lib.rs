@@ -13,9 +13,7 @@
 //! * [`SimRng`] — a deterministic, seedable random number generator,
 //! * [`CostModel`] — the tunable constants of the performance model,
 //! * [`stats`] — summary statistics and histograms used by the benchmark
-//!   harness,
-//! * [`trace`] — a lightweight event trace for debugging and assertions in
-//!   tests.
+//!   harness.
 //!
 //! # Example
 //!
@@ -31,10 +29,8 @@ pub mod cost;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use cost::CostModel;
 pub use rng::{derive_seed, SimRng};
 pub use stats::{Histogram, Summary};
 pub use time::{Nanos, SimClock};
-pub use trace::{EventTrace, TraceEvent};

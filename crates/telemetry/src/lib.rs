@@ -5,18 +5,15 @@
 //! virtual timestamps, recoveries decompose into the paper's phases
 //! (`failure_detect` → `checkpoint_restore` → `log_replay` → `resume`), and
 //! MPK denials / detector firings become point events attached to the
-//! enclosing span. Two collectors ship with the workspace:
-//!
-//! * the legacy [`vampos_sim::EventTrace`] ring buffer (this crate
-//!   implements [`Collector`] for it, preserving the exact flat
-//!   [`vampos_sim::TraceEvent`] stream existing tests assert on), and
-//! * the [`TelemetryHub`], which retains structured [`SpanRecord`]s and
-//!   [`InstantRecord`]s, aggregates a [`MetricsRegistry`] of per-component
-//!   counters, gauges and histograms, and exports
-//!   Chrome-trace-event JSON ([`TelemetryHub::chrome_trace_json`], loads in
-//!   Perfetto / `chrome://tracing`), Prometheus text exposition
-//!   ([`TelemetryHub::prometheus_text`]) and a JSON metrics dump
-//!   ([`TelemetryHub::metrics_json`]).
+//! enclosing span. The [`TelemetryHub`] is the one collector and the
+//! runtime's only observation channel: it retains structured
+//! [`SpanRecord`]s and [`InstantRecord`]s, aggregates a [`MetricsRegistry`]
+//! of per-component counters, gauges and histograms, and exports
+//! Chrome-trace-event JSON ([`TelemetryHub::chrome_trace_json`], loads in
+//! Perfetto / `chrome://tracing`), Prometheus text exposition
+//! ([`TelemetryHub::prometheus_text`]) and a JSON metrics dump
+//! ([`TelemetryHub::metrics_json`]). A system with no hub attached builds
+//! no observability data at all.
 //!
 //! Everything is keyed off the simulation clock and emitted in stable
 //! order, so two runs of the same seed produce **byte-identical** exports —
