@@ -4,30 +4,66 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use vampos_core::FunctionLog;
-use vampos_ukernel::{SessionEvent, TouchSynthesis, Value};
+use vampos_core::funclog::entry_bytes;
+use vampos_core::{Call, Caller, Compaction, FnId, FunctionLog};
+use vampos_ukernel::{SessionEvent, Value};
+
+/// The benched functions, as ids into a notional VFS function table.
+const FUNCS: [&str; 4] = ["open", "write", "close", "vfs_set_offset"];
+
+fn func(name: &str) -> FnId {
+    FnId::new(
+        FUNCS
+            .iter()
+            .position(|f| *f == name)
+            .expect("benched function"),
+    )
+}
+
+/// Appends an application call to `name` with no downcalls, sized as the
+/// runtime sizes it.
+fn append(log: &mut FunctionLog, name: &str, args: &[Value], ret: &Value, event: SessionEvent) {
+    let args_bytes = args.iter().map(Value::byte_len).sum();
+    let call = Call {
+        caller: Caller::App,
+        func: func(name),
+        args,
+        ret,
+        downcalls: Vec::new(),
+        bytes: entry_bytes("app", name, args_bytes, ret.byte_len(), 0),
+    };
+    log.append(call, event, true);
+}
+
+/// The compaction decision VFS makes for a run of reads/writes on `fd`.
+fn set_offset(fd: u64) -> Compaction {
+    let args = vec![Value::U64(fd), Value::U64(8192)];
+    let args_bytes = args.iter().map(Value::byte_len).sum();
+    Compaction::Replace {
+        func: func("vfs_set_offset"),
+        bytes: entry_bytes("compactor", "vfs_set_offset", args_bytes, 0, 0),
+        args,
+        ret: Value::Unit,
+    }
+}
 
 fn filled_log(sessions: u64, touches_per_session: usize) -> FunctionLog {
     let mut log = FunctionLog::new();
     for s in 0..sessions {
-        log.append(
-            "app",
+        append(
+            &mut log,
             "open",
             &[Value::from("/f")],
             &Value::U64(s),
-            Vec::new(),
             SessionEvent::Open(vec![s]),
-            true,
         );
         for _ in 0..touches_per_session {
-            log.append(
-                "app",
+            append(
+                &mut log,
                 "write",
                 &[Value::U64(s), Value::Bytes(vec![0; 64])],
                 &Value::U64(64),
-                Vec::new(),
                 SessionEvent::Touch(s),
-                true,
             );
         }
     }
@@ -40,14 +76,12 @@ fn bench_logging(c: &mut Criterion) {
     group.bench_function("append_touch", |b| {
         let mut log = filled_log(1, 0);
         b.iter(|| {
-            log.append(
-                "app",
+            append(
+                &mut log,
                 "write",
                 &[Value::U64(0), Value::Bytes(vec![0; 64])],
                 &Value::U64(64),
-                Vec::new(),
                 SessionEvent::Touch(0),
-                true,
             )
         })
     });
@@ -56,14 +90,12 @@ fn bench_logging(c: &mut Criterion) {
         b.iter_batched(
             || filled_log(8, 16),
             |mut log| {
-                log.append(
-                    "app",
+                append(
+                    &mut log,
                     "close",
                     &[Value::U64(3)],
                     &Value::Unit,
-                    Vec::new(),
                     SessionEvent::Close(vec![3]),
-                    true,
                 )
             },
             BatchSize::SmallInput,
@@ -73,16 +105,7 @@ fn bench_logging(c: &mut Criterion) {
     group.bench_function("compact_session_of_128", |b| {
         b.iter_batched(
             || filled_log(1, 128),
-            |mut log| {
-                log.compact_session(
-                    0,
-                    TouchSynthesis::Replace {
-                        func: "vfs_set_offset".into(),
-                        args: vec![Value::U64(0), Value::U64(8192)],
-                        ret: Value::Unit,
-                    },
-                )
-            },
+            |mut log| log.compact_session(0, set_offset(0)),
             BatchSize::SmallInput,
         )
     });
@@ -97,14 +120,12 @@ fn bench_logging(c: &mut Criterion) {
             |b| {
                 let mut log = filled_log(other_sessions, 16);
                 b.iter(|| {
-                    log.append(
-                        "app",
+                    append(
+                        &mut log,
                         "write",
                         &[Value::U64(0), Value::Bytes(vec![0; 64])],
                         &Value::U64(64),
-                        Vec::new(),
                         SessionEvent::Touch(0),
-                        true,
                     )
                 })
             },
@@ -121,14 +142,12 @@ fn bench_logging(c: &mut Criterion) {
                 b.iter(|| {
                     let s = session;
                     session += 1;
-                    log.append(
-                        "app",
+                    append(
+                        &mut log,
                         "close",
                         &[Value::U64(s)],
                         &Value::Unit,
-                        Vec::new(),
                         SessionEvent::Close(vec![s]),
-                        true,
                     )
                 })
             },
@@ -142,14 +161,7 @@ fn bench_logging(c: &mut Criterion) {
                 b.iter(|| {
                     let s = session;
                     session += 1;
-                    log.compact_session(
-                        s,
-                        TouchSynthesis::Replace {
-                            func: "vfs_set_offset".into(),
-                            args: vec![Value::U64(s), Value::U64(8192)],
-                            ret: Value::Unit,
-                        },
-                    )
+                    log.compact_session(s, set_offset(s))
                 })
             },
         );

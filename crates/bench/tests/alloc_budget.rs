@@ -4,19 +4,23 @@
 //! while it drives the simulator, so tests running in parallel do not see
 //! each other's allocations.
 //!
-//! | probe | measured | budget | before |
-//! |---|---|---|---|
-//! | DaS `getpid`, nginx component set | 0 | 0 | 5 |
-//! | DaS `open` + `close` of a served file | 100.09 | [`OPEN_CLOSE_BUDGET`] | 148.09 |
-//! | HTTP GET through a one-instance fleet | 71.90 | [`HTTP_GET_BUDGET`] | 146.96 |
+//! | probe | measured | budget | string-keyed call path | event ring |
+//! |---|---|---|---|---|
+//! | DaS `getpid`, nginx component set | 0 | 0 | 0 | 5 |
+//! | DaS `open` + `close` of a served file | 53.70 | [`OPEN_CLOSE_BUDGET`] | 100.09 | 148.09 |
+//! | HTTP GET through a one-instance fleet | 58.73 | [`HTTP_GET_BUDGET`] | 71.90 | 146.96 |
 //!
 //! Figures are allocations per operation, averaged over [`SAMPLES`] after
-//! [`WARMUP`]. "Before" is the same probe against the runtime as it was
-//! when every cross-component call also pushed an owned-string event into
-//! an always-on ring buffer, cloned its caller's name, and every syscall
-//! allocated its summary key. The budgets are the measured counts rounded
-//! up to whole allocations per operation: a change that adds an allocation
-//! to these paths must raise the budget here and say why.
+//! [`WARMUP`]. The two right-hand columns are the same probe against
+//! earlier runtimes. "String-keyed call path": every logged call stored its
+//! caller and function names, and every recorded downcall its target and
+//! function names, as owned strings, and function-log index upkeep copied
+//! session lists. "Event ring": in addition, every cross-component call
+//! pushed an owned-string event into an always-on ring buffer, cloned its
+//! caller's name, and every syscall allocated its summary key. The budgets
+//! are the measured counts rounded up to whole allocations per operation:
+//! a change that adds an allocation to these paths must raise the budget
+//! here and say why.
 
 use std::alloc::{GlobalAlloc, Layout, System as Heap};
 use std::cell::Cell;
@@ -27,12 +31,13 @@ use vampos_host::HostHandle;
 use vampos_oslib::vfs::OpenFlags;
 
 /// Allocations per DaS `open` + `close` pair.
-const OPEN_CLOSE_BUDGET: u64 = 101;
+const OPEN_CLOSE_BUDGET: u64 = 54;
 /// Allocations per HTTP GET through one instance.
-const HTTP_GET_BUDGET: u64 = 72;
+const HTTP_GET_BUDGET: u64 = 59;
 
-/// Untimed calls before each measurement: first-sight allocations (syscall
-/// summary keys, connection buffers) belong to warm-up, not the steady state.
+/// Untimed calls before each measurement: first-sight allocations (interned
+/// function names, connection buffers) belong to warm-up, not the steady
+/// state.
 const WARMUP: usize = 200;
 const SAMPLES: u64 = 1000;
 

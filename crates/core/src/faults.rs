@@ -5,8 +5,14 @@
 //! times (re-execution after recovery does not re-trigger them); a fault
 //! armed as deterministic re-fires on the post-recovery retry, which drives
 //! the system to fail-stop — exactly the §II-B policy.
+//!
+//! A fault names its target; the system resolves those names to ids when
+//! the fault is armed ([`FaultKey`]), so matching a call costs two integer
+//! compares per armed fault. A name nothing calls never matches.
 
 use vampos_sim::Nanos;
+
+use crate::symbols::{ComponentId, FnId};
 
 /// What the injected fault does when it fires.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,10 +117,27 @@ impl InjectedFault {
     }
 }
 
+/// The resolved target of an armed fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultKey {
+    /// Target component.
+    pub component: ComponentId,
+    /// Only calls to this function match (`None` = any call).
+    pub func: Option<FnId>,
+}
+
+impl FaultKey {
+    fn matches(&self, component: ComponentId, func: FnId) -> bool {
+        self.component == component && self.func.is_none_or(|f| f == func)
+    }
+}
+
 /// The set of armed faults.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     faults: Vec<InjectedFault>,
+    /// `keys[i]` is the resolved target of `faults[i]`.
+    keys: Vec<FaultKey>,
     hang_threshold: Nanos,
 }
 
@@ -143,13 +166,15 @@ impl FaultPlan {
     pub fn new(hang_threshold: Nanos) -> Self {
         FaultPlan {
             faults: Vec::new(),
+            keys: Vec::new(),
             hang_threshold,
         }
     }
 
-    /// Arms a fault.
-    pub fn arm(&mut self, fault: InjectedFault) {
+    /// Arms a fault whose names resolved to `key`.
+    pub fn arm(&mut self, fault: InjectedFault, key: FaultKey) {
         self.faults.push(fault);
+        self.keys.push(key);
     }
 
     /// Number of armed faults still able to fire.
@@ -168,57 +193,122 @@ impl FaultPlan {
     /// Disarms everything.
     pub fn clear(&mut self) {
         self.faults.clear();
+        self.keys.clear();
     }
 
     /// Disarms every fault targeting `component` — used when a different
     /// version of the component is swapped in (its code, and therefore its
     /// deterministic bugs, are gone).
-    pub fn clear_component(&mut self, component: &str) {
-        self.faults.retain(|f| f.component != component);
+    pub fn clear_component(&mut self, component: ComponentId) {
+        let mut i = 0;
+        while i < self.faults.len() {
+            if self.keys[i].component == component {
+                self.faults.remove(i);
+                self.keys.remove(i);
+            } else {
+                i += 1;
+            }
+        }
     }
 
     /// Evaluates the plan for a call to `component::func`. At most one
-    /// fault fires per call; one-shot faults are consumed when they fire.
-    pub fn on_call(&mut self, component: &str, func: &str) -> FaultAction {
-        let mut action = FaultAction::None;
-        let threshold = self.hang_threshold;
-        self.faults.retain_mut(|fault| {
-            if !matches!(action, FaultAction::None) {
-                return true; // only one fault per call
+    /// fault fires per call, the first matching one in arm order whose
+    /// countdown has run out; matching faults before it count down. One-shot
+    /// faults are consumed when they fire.
+    pub fn on_call(&mut self, component: ComponentId, func: FnId) -> FaultAction {
+        for i in 0..self.faults.len() {
+            if !self.keys[i].matches(component, func) {
+                continue;
             }
-            if fault.component != component {
-                return true;
-            }
-            if let Some(f) = &fault.func {
-                if f != func {
-                    return true;
-                }
-            }
+            let fault = &mut self.faults[i];
             if fault.after_calls > 0 {
                 fault.after_calls -= 1;
-                return true;
+                continue;
             }
             fault.fired += 1;
-            action = match fault.kind {
+            let action = match fault.kind {
                 FaultKind::Panic => FaultAction::Panic,
-                FaultKind::Hang => FaultAction::Hang(threshold),
+                FaultKind::Hang => FaultAction::Hang(self.hang_threshold),
                 FaultKind::LeakPerOp { bytes } => FaultAction::Leak(bytes),
                 FaultKind::BitFlip { offset, bit } => FaultAction::Flip { offset, bit },
             };
             // Deterministic faults stay armed; one-shot faults are consumed.
-            fault.deterministic
-        });
-        action
+            if !fault.deterministic {
+                self.faults.remove(i);
+                self.keys.remove(i);
+            }
+            return action;
+        }
+        FaultAction::None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbols::FnTable;
+
+    /// A plan plus the name tables its keys index, so the tests read in
+    /// names.
+    struct Named {
+        plan: FaultPlan,
+        components: Vec<String>,
+        fns: Vec<FnTable>,
+    }
+
+    impl Named {
+        fn new(hang_threshold: Nanos) -> Self {
+            Named {
+                plan: FaultPlan::new(hang_threshold),
+                components: Vec::new(),
+                fns: Vec::new(),
+            }
+        }
+
+        fn component(&mut self, name: &str) -> ComponentId {
+            let i = match self.components.iter().position(|c| c == name) {
+                Some(i) => i,
+                None => {
+                    self.components.push(name.to_owned());
+                    self.fns.push(FnTable::default());
+                    self.components.len() - 1
+                }
+            };
+            ComponentId::new(i)
+        }
+
+        fn arm(&mut self, fault: InjectedFault) {
+            let component = self.component(&fault.component);
+            let func = fault
+                .func
+                .as_deref()
+                .map(|f| self.fns[component.index()].resolve(f));
+            self.plan.arm(fault, FaultKey { component, func });
+        }
+
+        fn on_call(&mut self, component: &str, func: &str) -> FaultAction {
+            let c = self.component(component);
+            let f = self.fns[c.index()].resolve(func);
+            self.plan.on_call(c, f)
+        }
+
+        fn clear_component(&mut self, component: &str) {
+            let c = self.component(component);
+            self.plan.clear_component(c);
+        }
+
+        fn armed(&self) -> usize {
+            self.plan.armed()
+        }
+
+        fn faults(&self) -> &[InjectedFault] {
+            self.plan.faults()
+        }
+    }
 
     #[test]
     fn one_shot_panic_fires_once() {
-        let mut plan = FaultPlan::new(Nanos::SECOND);
+        let mut plan = Named::new(Nanos::SECOND);
         plan.arm(InjectedFault::panic_next("9pfs"));
         assert_eq!(plan.on_call("vfs", "open"), FaultAction::None);
         assert_eq!(plan.on_call("9pfs", "uk_9pfs_read"), FaultAction::Panic);
@@ -228,7 +318,7 @@ mod tests {
 
     #[test]
     fn deterministic_panic_keeps_firing() {
-        let mut plan = FaultPlan::new(Nanos::SECOND);
+        let mut plan = Named::new(Nanos::SECOND);
         plan.arm(InjectedFault::panic_deterministic("vfs"));
         assert_eq!(plan.on_call("vfs", "open"), FaultAction::Panic);
         assert_eq!(plan.on_call("vfs", "open"), FaultAction::Panic);
@@ -237,7 +327,7 @@ mod tests {
 
     #[test]
     fn func_filter_and_delay() {
-        let mut plan = FaultPlan::new(Nanos::SECOND);
+        let mut plan = Named::new(Nanos::SECOND);
         plan.arm(InjectedFault::panic_next("vfs").on_func("write").after(2));
         assert_eq!(plan.on_call("vfs", "read"), FaultAction::None);
         assert_eq!(plan.on_call("vfs", "write"), FaultAction::None); // skip 1
@@ -247,7 +337,7 @@ mod tests {
 
     #[test]
     fn hang_carries_the_threshold() {
-        let mut plan = FaultPlan::new(Nanos::from_millis(500));
+        let mut plan = Named::new(Nanos::from_millis(500));
         plan.arm(InjectedFault::hang_next("vfs"));
         assert_eq!(
             plan.on_call("vfs", "open"),
@@ -257,7 +347,7 @@ mod tests {
 
     #[test]
     fn leak_fires_continuously() {
-        let mut plan = FaultPlan::new(Nanos::SECOND);
+        let mut plan = Named::new(Nanos::SECOND);
         plan.arm(InjectedFault::leak_per_op("vfs", 64));
         for _ in 0..5 {
             assert_eq!(plan.on_call("vfs", "write"), FaultAction::Leak(64));
@@ -267,7 +357,7 @@ mod tests {
 
     #[test]
     fn only_one_fault_fires_per_call() {
-        let mut plan = FaultPlan::new(Nanos::SECOND);
+        let mut plan = Named::new(Nanos::SECOND);
         plan.arm(InjectedFault::panic_next("vfs"));
         plan.arm(InjectedFault::hang_next("vfs"));
         assert_eq!(plan.on_call("vfs", "open"), FaultAction::Panic);
@@ -280,7 +370,7 @@ mod tests {
     fn arm_order_gives_precedence_on_the_same_function() {
         // Two faults scoped to the same component *and* function: the one
         // armed first wins the call; the second fires on the next call.
-        let mut plan = FaultPlan::new(Nanos::SECOND);
+        let mut plan = Named::new(Nanos::SECOND);
         plan.arm(InjectedFault::hang_next("vfs").on_func("write"));
         plan.arm(InjectedFault::panic_next("vfs").on_func("write"));
         assert!(matches!(plan.on_call("vfs", "write"), FaultAction::Hang(_)));
@@ -290,7 +380,7 @@ mod tests {
 
     #[test]
     fn wildcard_armed_first_beats_func_scoped_armed_second() {
-        let mut plan = FaultPlan::new(Nanos::SECOND);
+        let mut plan = Named::new(Nanos::SECOND);
         plan.arm(InjectedFault::panic_next("vfs")); // any function
         plan.arm(InjectedFault::hang_next("vfs").on_func("write"));
         // The wildcard was armed first, so it consumes the call even though
@@ -304,7 +394,7 @@ mod tests {
         // A delayed fault armed *before* the firing fault still burns its
         // countdown on the call (the plan walks faults in arm order and
         // decrements matching delays until one fault fires).
-        let mut plan = FaultPlan::new(Nanos::SECOND);
+        let mut plan = Named::new(Nanos::SECOND);
         plan.arm(InjectedFault::panic_next("vfs").after(2));
         plan.arm(InjectedFault::hang_next("vfs"));
         // Call 1: the delayed panic decrements (2→1), then the hang fires.
@@ -322,7 +412,7 @@ mod tests {
         // countdown on the call the earlier fault consumed: at most one
         // fault is evaluated-to-fire per call, and evaluation stops
         // decrementing once an action is chosen.
-        let mut plan = FaultPlan::new(Nanos::SECOND);
+        let mut plan = Named::new(Nanos::SECOND);
         plan.arm(InjectedFault::panic_next("vfs"));
         plan.arm(InjectedFault::hang_next("vfs").after(1));
         // Call 1: the panic fires; the hang's countdown must stay at 1.
@@ -336,7 +426,7 @@ mod tests {
 
     #[test]
     fn countdowns_only_decrement_on_matching_calls() {
-        let mut plan = FaultPlan::new(Nanos::SECOND);
+        let mut plan = Named::new(Nanos::SECOND);
         plan.arm(InjectedFault::panic_next("vfs").on_func("write").after(1));
         // Non-matching component and non-matching function leave the
         // countdown untouched.
@@ -349,7 +439,7 @@ mod tests {
 
     #[test]
     fn clear_component_leaves_other_components_armed() {
-        let mut plan = FaultPlan::new(Nanos::SECOND);
+        let mut plan = Named::new(Nanos::SECOND);
         plan.arm(InjectedFault::panic_next("vfs"));
         plan.arm(InjectedFault::leak_per_op("vfs", 32));
         plan.arm(InjectedFault::hang_next("9pfs").after(1));

@@ -3,10 +3,12 @@
 //!
 //! Every logged inbound call becomes a [`LogEntry`]: function, arguments,
 //! return value, **and the return values of every downcall the component
-//! made while executing it** ([`DownRec`]). Encapsulated restoration replays
-//! the entries in order, answering the component's downcalls from the
-//! recorded values so that the restoration has no side effects on running
-//! components.
+//! made while executing it** ([`DownRec`]). Callers, functions and downcall
+//! targets are stored as ids ([`crate::symbols`]); an entry's byte size is
+//! computed once, when it is logged, from sizes the hop already knows.
+//! Encapsulated restoration replays the entries in order, answering the
+//! component's downcalls from the recorded values so that the restoration
+//! has no side effects on running components.
 //!
 //! Shrinking removes sessions retired by *canceling functions* (`close`),
 //! and threshold-triggered compaction summarises still-open sessions
@@ -27,7 +29,9 @@
 //!   it on replay,
 //! * `close_index` — session → kept `Close` slots referencing it.
 //!
-//! `byte_len` and `record_count` are maintained incrementally, and
+//! `byte_len` and `record_count` are maintained incrementally from each
+//! entry's cached size, index upkeep walks the (tiny) session lists in
+//! place without allocating, and
 //! [`FunctionLog::replay_entries`] hands out `Arc`-shared entries instead of
 //! deep clones — an outstanding replay snapshot stays frozen even if the
 //! live log keeps shrinking (copy-on-write of the one mutable field, an
@@ -36,19 +40,44 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use vampos_ukernel::{OsError, SessionEvent, TouchSynthesis, Value};
+use vampos_ukernel::{OsError, SessionEvent, Value};
+
+use crate::symbols::{Caller, ComponentId, FnId};
 
 /// One recorded downcall made while executing a logged entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DownRec {
     /// Component that was invoked.
-    pub target: String,
-    /// Function that was invoked.
-    pub func: String,
+    pub target: ComponentId,
+    /// Function that was invoked (an id in `target`'s table).
+    pub func: FnId,
     /// The outcome the downcall produced (errors are part of the recorded
     /// control flow: a `NotFound` from `lookup` steers `open` into its
     /// create path, and replay must reproduce that).
     pub ret: Result<Value, OsError>,
+}
+
+/// Space a recorded downcall adds to its entry (Fig. 7b, Table III): a
+/// fixed header, the function name and the outcome.
+pub fn downcall_bytes(func_name: &str, ret: &Result<Value, OsError>) -> usize {
+    32 + func_name.len()
+        + match ret {
+            Ok(v) => v.byte_len(),
+            Err(_) => 16,
+        }
+}
+
+/// Space one entry occupies (Fig. 7b, Table III): a fixed header, the
+/// caller and function names, the marshalled arguments and return value,
+/// and the recorded downcalls (each sized by [`downcall_bytes`]).
+pub fn entry_bytes(
+    caller_name: &str,
+    func_name: &str,
+    args_bytes: usize,
+    ret_bytes: usize,
+    downcalls_bytes: usize,
+) -> usize {
+    64 + func_name.len() + caller_name.len() + args_bytes + ret_bytes + downcalls_bytes
 }
 
 /// Session classification stored with an entry.
@@ -78,10 +107,10 @@ pub enum EntryTag {
 pub struct LogEntry {
     /// Monotonic sequence number within the component's log.
     pub seq: u64,
-    /// The calling component (or `"app"`).
-    pub caller: String,
-    /// Invoked function.
-    pub func: String,
+    /// Who issued the call.
+    pub caller: Caller,
+    /// Invoked function (an id in the logging component's table).
+    pub func: FnId,
     /// Marshalled arguments.
     pub args: Vec<Value>,
     /// The value the call returned.
@@ -92,27 +121,15 @@ pub struct LogEntry {
     pub tag: EntryTag,
     /// True for compaction-synthesised entries.
     pub synthetic: bool,
+    /// [`entry_bytes`] of this entry, fixed when it was logged.
+    bytes: usize,
 }
 
 impl LogEntry {
     /// Approximate in-memory size of the entry in bytes (space accounting
-    /// for Fig. 7b and Table III).
+    /// for Fig. 7b and Table III), as computed by [`entry_bytes`].
     pub fn byte_len(&self) -> usize {
-        let base = 64 + self.func.len() + self.caller.len();
-        let args: usize = self.args.iter().map(Value::byte_len).sum();
-        let ret = self.ret.byte_len();
-        let downs: usize = self
-            .downcalls
-            .iter()
-            .map(|d| {
-                32 + d.func.len()
-                    + match &d.ret {
-                        Ok(v) => v.byte_len(),
-                        Err(_) => 16,
-                    }
-            })
-            .sum();
-        base + args + ret + downs
+        self.bytes
     }
 
     /// Records in this entry count as `1 + downcalls` "log entries" in the
@@ -120,6 +137,46 @@ impl LogEntry {
     pub fn record_count(&self) -> usize {
         1 + self.downcalls.len()
     }
+}
+
+/// A call to log: the input of [`FunctionLog::append`].
+#[derive(Debug)]
+pub struct Call<'a> {
+    /// Who issued the call.
+    pub caller: Caller,
+    /// Invoked function.
+    pub func: FnId,
+    /// Marshalled arguments (copied only if the entry is kept).
+    pub args: &'a [Value],
+    /// The value the call returned.
+    pub ret: &'a Value,
+    /// Downcalls recorded during the call.
+    pub downcalls: Vec<DownRec>,
+    /// The entry's size, from [`entry_bytes`].
+    pub bytes: usize,
+}
+
+/// How [`FunctionLog::compact_session`] treats one open session's `Touch`
+/// entries: the component's `TouchSynthesis` decision, with the synthetic
+/// function resolved to an id and the summary entry sized.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Compaction {
+    /// Keep the touches.
+    Keep,
+    /// Drop them.
+    Drop,
+    /// Replace them with one synthetic entry logged by
+    /// [`Caller::Compactor`].
+    Replace {
+        /// Synthetic function.
+        func: FnId,
+        /// Its arguments.
+        args: Vec<Value>,
+        /// Its expected return value.
+        ret: Value,
+        /// The entry's size, from [`entry_bytes`].
+        bytes: usize,
+    },
 }
 
 /// Outcome of appending an entry (for the shrink statistics).
@@ -227,10 +284,12 @@ impl FunctionLog {
     pub fn corrupt_newest_ret(&mut self) -> bool {
         for slot in self.slots.iter_mut().rev() {
             if let Some(arc) = slot.as_mut() {
-                let before = arc.byte_len();
                 let entry = Arc::make_mut(arc);
-                entry.ret = Value::from("corrupted-log-record");
-                self.bytes = self.bytes - before + entry.byte_len();
+                let ret = Value::from("corrupted-log-record");
+                let before = entry.bytes;
+                entry.bytes = before - entry.ret.byte_len() + ret.byte_len();
+                entry.ret = ret;
+                self.bytes = self.bytes - before + entry.bytes;
                 return true;
             }
         }
@@ -239,26 +298,20 @@ impl FunctionLog {
 
     /// Links `slot` into the indices according to its entry's tag.
     fn link(&mut self, slot: usize) {
-        let entry = self.slots[slot].as_ref().expect("link: live slot");
+        let entry = self.slots[slot].as_deref().expect("link: live slot");
         match &entry.tag {
             EntryTag::Free => {}
-            EntryTag::Touch(s) => {
-                let s = *s;
-                self.touch_index.entry(s).or_default().push(slot);
-            }
+            EntryTag::Touch(s) => self.touch_index.entry(*s).or_default().push(slot),
             EntryTag::Open { created, live } => {
-                let created = created.clone();
-                let live = live.clone();
-                for s in dedup(&created) {
+                for s in distinct(created) {
                     self.created_index.entry(s).or_default().push(slot);
                 }
-                for s in dedup(&live) {
+                for s in distinct(live) {
                     self.open_index.entry(s).or_default().push(slot);
                 }
             }
             EntryTag::Close(sessions) => {
-                let sessions = sessions.clone();
-                for s in dedup(&sessions) {
+                for s in distinct(sessions) {
                     self.close_index.entry(s).or_default().push(slot);
                 }
             }
@@ -281,21 +334,21 @@ impl FunctionLog {
             return;
         };
         self.live -= 1;
-        self.bytes -= entry.byte_len();
+        self.bytes -= entry.bytes;
         self.records -= entry.record_count();
         match &entry.tag {
             EntryTag::Free => {}
             EntryTag::Touch(s) => Self::unlink_one(&mut self.touch_index, *s, slot),
             EntryTag::Open { created, live } => {
-                for s in dedup(created) {
+                for s in distinct(created) {
                     Self::unlink_one(&mut self.created_index, s, slot);
                 }
-                for s in dedup(live) {
+                for s in distinct(live) {
                     Self::unlink_one(&mut self.open_index, s, slot);
                 }
             }
             EntryTag::Close(sessions) => {
-                for s in dedup(sessions) {
+                for s in distinct(sessions) {
                     Self::unlink_one(&mut self.close_index, s, slot);
                 }
             }
@@ -305,7 +358,7 @@ impl FunctionLog {
     /// Appends `entry` to the store and indices.
     fn insert(&mut self, entry: LogEntry) {
         self.live += 1;
-        self.bytes += entry.byte_len();
+        self.bytes += entry.bytes;
         self.records += entry.record_count();
         let slot = self.slots.len();
         self.slots.push(Some(Arc::new(entry)));
@@ -332,16 +385,9 @@ impl FunctionLog {
 
     /// Appends a logged call, applying session-aware shrinking when
     /// `shrinking` is enabled and the event is a cancel.
-    // The parameters are the fields of the entry being built; bundling them
-    // into a struct would only move the same list one call site up.
-    #[allow(clippy::too_many_arguments)]
     pub fn append(
         &mut self,
-        caller: &str,
-        func: &str,
-        args: &[Value],
-        ret: &Value,
-        downcalls: Vec<DownRec>,
+        call: Call<'_>,
         event: SessionEvent,
         shrinking: bool,
     ) -> AppendOutcome {
@@ -361,9 +407,8 @@ impl FunctionLog {
                     self.removed_total += removed as u64;
                     // Keep this canceling entry only while some surviving
                     // entry would recreate one of its sessions on replay.
-                    let still_recreated = dedup(sessions)
-                        .into_iter()
-                        .any(|s| self.created_index.contains_key(&s));
+                    let still_recreated =
+                        sessions.iter().any(|s| self.created_index.contains_key(s));
                     if !still_recreated {
                         self.maybe_gc();
                         return AppendOutcome {
@@ -380,13 +425,14 @@ impl FunctionLog {
 
         let entry = LogEntry {
             seq: self.next_seq,
-            caller: caller.to_owned(),
-            func: func.to_owned(),
-            args: args.to_vec(),
-            ret: ret.clone(),
-            downcalls,
+            caller: call.caller,
+            func: call.func,
+            args: call.args.to_vec(),
+            ret: call.ret.clone(),
+            downcalls: call.downcalls,
             tag,
             synthetic: false,
+            bytes: call.bytes,
         };
         self.next_seq += 1;
         self.appended_total += 1;
@@ -403,11 +449,10 @@ impl FunctionLog {
     /// candidates, never the whole log. Returns the entries removed.
     fn cancel_sessions(&mut self, sessions: &[u64]) -> usize {
         let mut removed = 0usize;
-        let closing = dedup(sessions);
 
         // 1. Remove the sessions' touch entries (bucket drained wholesale,
         //    so the per-slot unlink has nothing left to scan).
-        for &s in &closing {
+        for s in distinct(sessions) {
             for slot in self.touch_index.remove(&s).unwrap_or_default() {
                 self.remove_slot(slot);
                 removed += 1;
@@ -418,7 +463,7 @@ impl FunctionLog {
         //    no live sessions left are removed, and everything they
         //    originally created is now dead.
         let mut fully_dead: BTreeSet<u64> = BTreeSet::new();
-        for &s in &closing {
+        for s in distinct(sessions) {
             // Take the whole bucket: every one of these entries loses `s`
             // from its live set right here.
             for slot in self.open_index.remove(&s).unwrap_or_default() {
@@ -478,29 +523,36 @@ impl FunctionLog {
     }
 
     /// Applies one session's compaction decision: removes its `Touch`
-    /// entries and, for [`TouchSynthesis::Replace`], appends the synthetic
+    /// entries and, for [`Compaction::Replace`], appends the synthetic
     /// summary entry. Returns the number of entries removed.
-    pub fn compact_session(&mut self, session: u64, decision: TouchSynthesis) -> usize {
+    pub fn compact_session(&mut self, session: u64, decision: Compaction) -> usize {
         match decision {
-            TouchSynthesis::Keep => 0,
-            TouchSynthesis::Drop | TouchSynthesis::Replace { .. } => {
+            Compaction::Keep => 0,
+            Compaction::Drop | Compaction::Replace { .. } => {
                 let slots = self.touch_index.remove(&session).unwrap_or_default();
                 let removed = slots.len();
                 for slot in slots {
                     self.remove_slot(slot);
                 }
                 self.removed_total += removed as u64;
-                if let TouchSynthesis::Replace { func, args, ret } = decision {
+                if let Compaction::Replace {
+                    func,
+                    args,
+                    ret,
+                    bytes,
+                } = decision
+                {
                     if removed > 0 {
                         self.insert(LogEntry {
                             seq: self.next_seq,
-                            caller: "compactor".to_owned(),
+                            caller: Caller::Compactor,
                             func,
                             args,
                             ret,
                             downcalls: Vec::new(),
                             tag: EntryTag::Touch(session),
                             synthetic: true,
+                            bytes,
                         });
                         self.next_seq += 1;
                         self.compactions += 1;
@@ -516,59 +568,109 @@ impl FunctionLog {
     }
 }
 
-/// Deduplicated copy of a small session list (order-preserving).
-fn dedup(sessions: &[u64]) -> Vec<u64> {
-    let mut seen = BTreeSet::new();
+/// The distinct sessions of a small list, in first-occurrence order,
+/// without allocating (session lists hold one or two ids).
+fn distinct(sessions: &[u64]) -> impl Iterator<Item = u64> + '_ {
     sessions
         .iter()
-        .copied()
-        .filter(|s| seen.insert(*s))
-        .collect()
+        .enumerate()
+        .filter(|&(i, s)| !sessions[..i].contains(s))
+        .map(|(_, &s)| s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbols::FnTable;
+    use vampos_ukernel::names;
 
-    fn append_simple(
-        log: &mut FunctionLog,
-        func: &str,
-        event: SessionEvent,
-        shrinking: bool,
-    ) -> AppendOutcome {
-        log.append("app", func, &[], &Value::Unit, Vec::new(), event, shrinking)
+    /// A log plus the function table its ids index, so tests read in names.
+    #[derive(Default)]
+    struct Named {
+        log: FunctionLog,
+        fns: FnTable,
+    }
+
+    impl Named {
+        fn append_with(
+            &mut self,
+            func: &str,
+            args: &[Value],
+            ret: &Value,
+            downcalls: Vec<DownRec>,
+            event: SessionEvent,
+            shrinking: bool,
+        ) -> AppendOutcome {
+            let args_bytes = args.iter().map(Value::byte_len).sum();
+            let downcalls_bytes = downcalls
+                .iter()
+                .map(|d| downcall_bytes(self.fns.name(d.func), &d.ret))
+                .sum();
+            let call = Call {
+                caller: Caller::App,
+                func: self.fns.resolve(func),
+                args,
+                ret,
+                downcalls,
+                bytes: entry_bytes(
+                    names::APP,
+                    func,
+                    args_bytes,
+                    ret.byte_len(),
+                    downcalls_bytes,
+                ),
+            };
+            self.log.append(call, event, shrinking)
+        }
+
+        fn append(&mut self, func: &str, event: SessionEvent, shrinking: bool) -> AppendOutcome {
+            self.append_with(func, &[], &Value::Unit, Vec::new(), event, shrinking)
+        }
+
+        fn replace(&mut self, session: u64, func: &str, args: Vec<Value>) -> usize {
+            let args_bytes = args.iter().map(Value::byte_len).sum();
+            let decision = Compaction::Replace {
+                func: self.fns.resolve(func),
+                bytes: entry_bytes(crate::symbols::COMPACTOR, func, args_bytes, 0, 0),
+                args,
+                ret: Value::Unit,
+            };
+            self.log.compact_session(session, decision)
+        }
+
+        fn funcs(&self) -> Vec<&str> {
+            self.log.iter().map(|e| self.fns.name(e.func)).collect()
+        }
     }
 
     #[test]
     fn appends_accumulate_in_order() {
-        let mut log = FunctionLog::new();
-        append_simple(&mut log, "a", SessionEvent::None, true);
-        append_simple(&mut log, "b", SessionEvent::None, true);
-        let funcs: Vec<&str> = log.iter().map(|e| e.func.as_str()).collect();
-        assert_eq!(funcs, ["a", "b"]);
-        assert_eq!(log.record_count(), 2);
+        let mut log = Named::default();
+        log.append("a", SessionEvent::None, true);
+        log.append("b", SessionEvent::None, true);
+        assert_eq!(log.funcs(), ["a", "b"]);
+        assert_eq!(log.log.record_count(), 2);
     }
 
     #[test]
     fn close_cancels_a_whole_session() {
-        let mut log = FunctionLog::new();
-        append_simple(&mut log, "open", SessionEvent::Open(vec![3]), true);
-        append_simple(&mut log, "read", SessionEvent::Touch(3), true);
-        append_simple(&mut log, "write", SessionEvent::Touch(3), true);
-        let out = append_simple(&mut log, "close", SessionEvent::Close(vec![3]), true);
+        let mut log = Named::default();
+        log.append("open", SessionEvent::Open(vec![3]), true);
+        log.append("read", SessionEvent::Touch(3), true);
+        log.append("write", SessionEvent::Touch(3), true);
+        let out = log.append("close", SessionEvent::Close(vec![3]), true);
         assert_eq!(out.removed, 3);
-        assert!(log.is_empty(), "open/read/write/close all gone");
+        assert!(log.log.is_empty(), "open/read/write/close all gone");
     }
 
     #[test]
     fn close_spares_other_sessions() {
-        let mut log = FunctionLog::new();
-        append_simple(&mut log, "open", SessionEvent::Open(vec![3]), true);
-        append_simple(&mut log, "open", SessionEvent::Open(vec![4]), true);
-        append_simple(&mut log, "read", SessionEvent::Touch(4), true);
-        append_simple(&mut log, "close", SessionEvent::Close(vec![3]), true);
-        let funcs: Vec<&str> = log.iter().map(|e| e.func.as_str()).collect();
-        assert_eq!(funcs, ["open", "read"]);
+        let mut log = Named::default();
+        log.append("open", SessionEvent::Open(vec![3]), true);
+        log.append("open", SessionEvent::Open(vec![4]), true);
+        log.append("read", SessionEvent::Touch(4), true);
+        log.append("close", SessionEvent::Close(vec![3]), true);
+        assert_eq!(log.funcs(), ["open", "read"]);
     }
 
     #[test]
@@ -576,109 +678,98 @@ mod tests {
         // Pipe case: one entry creates two sessions. The close of one end
         // must stay in the log (replaying `pipe` recreates both fds), and
         // everything cascades away when the second end closes.
-        let mut log = FunctionLog::new();
-        append_simple(&mut log, "pipe", SessionEvent::Open(vec![3, 4]), true);
-        append_simple(&mut log, "write", SessionEvent::Touch(4), true);
-        append_simple(&mut log, "close", SessionEvent::Close(vec![4]), true);
-        let funcs: Vec<&str> = log.iter().map(|e| e.func.as_str()).collect();
-        assert_eq!(funcs, ["pipe", "close"]);
+        let mut log = Named::default();
+        log.append("pipe", SessionEvent::Open(vec![3, 4]), true);
+        log.append("write", SessionEvent::Touch(4), true);
+        log.append("close", SessionEvent::Close(vec![4]), true);
+        assert_eq!(log.funcs(), ["pipe", "close"]);
 
         // Closing the read end empties the pipe entry's live set; the kept
         // close of the write end is cascaded away too.
-        append_simple(&mut log, "close", SessionEvent::Close(vec![3]), true);
-        assert!(
-            log.is_empty(),
-            "log = {:?}",
-            log.iter().map(|e| &e.func).collect::<Vec<_>>()
-        );
+        log.append("close", SessionEvent::Close(vec![3]), true);
+        assert!(log.log.is_empty(), "log = {:?}", log.funcs());
     }
 
     #[test]
     fn shrinking_disabled_keeps_everything() {
-        let mut log = FunctionLog::new();
-        append_simple(&mut log, "open", SessionEvent::Open(vec![3]), false);
-        append_simple(&mut log, "close", SessionEvent::Close(vec![3]), false);
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.removed_total(), 0);
+        let mut log = Named::default();
+        log.append("open", SessionEvent::Open(vec![3]), false);
+        log.append("close", SessionEvent::Close(vec![3]), false);
+        assert_eq!(log.log.len(), 2);
+        assert_eq!(log.log.removed_total(), 0);
     }
 
     #[test]
     fn multi_session_close_requires_all_opens() {
-        let mut log = FunctionLog::new();
-        append_simple(&mut log, "open", SessionEvent::Open(vec![3]), true);
-        append_simple(
-            &mut log,
-            "vget",
-            SessionEvent::Open(vec![1 << 32 | 7]),
-            true,
-        );
-        let out = append_simple(
-            &mut log,
-            "close",
-            SessionEvent::Close(vec![3, 1 << 32 | 7]),
-            true,
-        );
+        let mut log = Named::default();
+        log.append("open", SessionEvent::Open(vec![3]), true);
+        log.append("vget", SessionEvent::Open(vec![1 << 32 | 7]), true);
+        let out = log.append("close", SessionEvent::Close(vec![3, 1 << 32 | 7]), true);
         assert_eq!(out.removed, 2);
-        assert!(log.is_empty());
+        assert!(log.log.is_empty());
+    }
+
+    #[test]
+    fn repeated_sessions_in_one_list_are_indexed_once() {
+        let mut log = Named::default();
+        log.append("pipe", SessionEvent::Open(vec![3, 3, 4]), true);
+        log.append("close", SessionEvent::Close(vec![4, 4]), true);
+        assert_eq!(log.funcs(), ["pipe", "close"]);
+        let out = log.append("close", SessionEvent::Close(vec![3, 3]), true);
+        assert_eq!(out.removed, 2);
+        assert!(log.log.is_empty());
     }
 
     #[test]
     fn compaction_replaces_touches_with_synthetic_entry() {
-        let mut log = FunctionLog::new();
-        append_simple(&mut log, "open", SessionEvent::Open(vec![3]), true);
+        let mut log = Named::default();
+        log.append("open", SessionEvent::Open(vec![3]), true);
         for _ in 0..10 {
-            append_simple(&mut log, "read", SessionEvent::Touch(3), true);
+            log.append("read", SessionEvent::Touch(3), true);
         }
-        let removed = log.compact_session(
-            3,
-            TouchSynthesis::Replace {
-                func: "vfs_set_offset".into(),
-                args: vec![Value::U64(3), Value::U64(40)],
-                ret: Value::Unit,
-            },
-        );
+        let removed = log.replace(3, "vfs_set_offset", vec![Value::U64(3), Value::U64(40)]);
         assert_eq!(removed, 9); // 10 touches → 1 synthetic
-        assert_eq!(log.len(), 2);
-        let last = log.iter().last().unwrap();
+        assert_eq!(log.log.len(), 2);
+        let last = log.log.iter().last().unwrap();
         assert!(last.synthetic);
-        assert_eq!(last.func, "vfs_set_offset");
+        assert_eq!(last.caller, Caller::Compactor);
+        assert_eq!(log.funcs(), ["open", "vfs_set_offset"]);
         // The synthetic entry is still session-bound: a later close removes it.
-        append_simple(&mut log, "close", SessionEvent::Close(vec![3]), true);
-        assert!(log.is_empty());
+        log.append("close", SessionEvent::Close(vec![3]), true);
+        assert!(log.log.is_empty());
     }
 
     #[test]
     fn compaction_drop_removes_without_replacement() {
-        let mut log = FunctionLog::new();
-        append_simple(&mut log, "open", SessionEvent::Open(vec![5]), true);
-        append_simple(&mut log, "read", SessionEvent::Touch(5), true);
-        append_simple(&mut log, "read", SessionEvent::Touch(5), true);
-        assert_eq!(log.compact_session(5, TouchSynthesis::Drop), 2);
-        assert_eq!(log.len(), 1);
+        let mut log = Named::default();
+        log.append("open", SessionEvent::Open(vec![5]), true);
+        log.append("read", SessionEvent::Touch(5), true);
+        log.append("read", SessionEvent::Touch(5), true);
+        assert_eq!(log.log.compact_session(5, Compaction::Drop), 2);
+        assert_eq!(log.log.len(), 1);
     }
 
     #[test]
     fn compaction_keep_is_a_no_op() {
-        let mut log = FunctionLog::new();
-        append_simple(&mut log, "read", SessionEvent::Touch(5), true);
-        assert_eq!(log.compact_session(5, TouchSynthesis::Keep), 0);
-        assert_eq!(log.len(), 1);
+        let mut log = Named::default();
+        log.append("read", SessionEvent::Touch(5), true);
+        assert_eq!(log.log.compact_session(5, Compaction::Keep), 0);
+        assert_eq!(log.log.len(), 1);
     }
 
     #[test]
     fn touched_sessions_deduplicates() {
-        let mut log = FunctionLog::new();
-        append_simple(&mut log, "read", SessionEvent::Touch(5), true);
-        append_simple(&mut log, "read", SessionEvent::Touch(5), true);
-        append_simple(&mut log, "read", SessionEvent::Touch(9), true);
-        assert_eq!(log.touched_sessions(), vec![5, 9]);
+        let mut log = Named::default();
+        log.append("read", SessionEvent::Touch(5), true);
+        log.append("read", SessionEvent::Touch(5), true);
+        log.append("read", SessionEvent::Touch(9), true);
+        assert_eq!(log.log.touched_sessions(), vec![5, 9]);
     }
 
     #[test]
     fn byte_len_grows_with_payloads() {
-        let mut log = FunctionLog::new();
-        log.append(
-            "app",
+        let mut log = Named::default();
+        log.append_with(
             "write",
             &[Value::U64(3), Value::Bytes(vec![0; 1000])],
             &Value::U64(1000),
@@ -686,71 +777,115 @@ mod tests {
             SessionEvent::Touch(3),
             true,
         );
-        assert!(log.byte_len() > 1000);
+        assert!(log.log.byte_len() > 1000);
+    }
+
+    #[test]
+    fn entry_size_is_the_name_and_payload_formula() {
+        // 64-byte header + "app" + "write" + two u64 args + u64 ret, and one
+        // downcall: 32-byte header + "lookup" + its u64 return.
+        let mut log = Named::default();
+        let lookup = log.fns.resolve("lookup");
+        log.append_with(
+            "write",
+            &[Value::U64(3), Value::U64(4)],
+            &Value::U64(1),
+            vec![DownRec {
+                target: ComponentId::new(1),
+                func: lookup,
+                ret: Ok(Value::U64(9)),
+            }],
+            SessionEvent::None,
+            true,
+        );
+        let want = 64 + 3 + 5 + 8 + 8 + 8 + (32 + 6 + 8);
+        assert_eq!(log.log.byte_len(), want);
+        assert_eq!(log.log.iter().next().unwrap().byte_len(), want);
     }
 
     #[test]
     fn downcalls_count_as_records() {
-        let mut log = FunctionLog::new();
-        log.append(
-            "app",
+        let mut log = Named::default();
+        let (lookup, open) = (log.fns.resolve("lookup"), log.fns.resolve("open"));
+        let ninepfs = ComponentId::new(5);
+        log.append_with(
             "open",
             &[],
             &Value::U64(3),
             vec![
                 DownRec {
-                    target: "9pfs".into(),
-                    func: "lookup".into(),
+                    target: ninepfs,
+                    func: lookup,
                     ret: Ok(Value::U64(1)),
                 },
                 DownRec {
-                    target: "9pfs".into(),
-                    func: "open".into(),
+                    target: ninepfs,
+                    func: open,
                     ret: Ok(Value::Unit),
                 },
             ],
             SessionEvent::Open(vec![3]),
             true,
         );
-        assert_eq!(log.record_count(), 3);
+        assert_eq!(log.log.record_count(), 3);
     }
 
     #[test]
     fn replay_entries_is_a_snapshot() {
-        let mut log = FunctionLog::new();
-        append_simple(&mut log, "open", SessionEvent::Open(vec![3]), true);
-        let snap = log.replay_entries();
-        append_simple(&mut log, "read", SessionEvent::Touch(3), true);
+        let mut log = Named::default();
+        log.append("open", SessionEvent::Open(vec![3]), true);
+        let snap = log.log.replay_entries();
+        log.append("read", SessionEvent::Touch(3), true);
         assert_eq!(snap.len(), 1);
-        assert_eq!(log.len(), 2);
+        assert_eq!(log.log.len(), 2);
     }
 
     #[test]
     fn replay_snapshot_is_frozen_across_shrinking() {
         // An outstanding replay snapshot must not see later mutations of an
         // Open entry's live set (copy-on-write path of Arc::make_mut).
-        let mut log = FunctionLog::new();
-        append_simple(&mut log, "pipe", SessionEvent::Open(vec![3, 4]), true);
-        let snap = log.replay_entries();
-        append_simple(&mut log, "close", SessionEvent::Close(vec![4]), true);
+        let mut log = Named::default();
+        log.append("pipe", SessionEvent::Open(vec![3, 4]), true);
+        let snap = log.log.replay_entries();
+        log.append("close", SessionEvent::Close(vec![4]), true);
         let EntryTag::Open { live, .. } = &snap[0].tag else {
             panic!("expected Open entry in snapshot");
         };
         assert_eq!(live, &[3, 4], "snapshot saw the live-set shrink");
-        let EntryTag::Open { live, .. } = &log.iter().next().unwrap().tag else {
+        let EntryTag::Open { live, .. } = &log.log.iter().next().unwrap().tag else {
             panic!("expected Open entry in live log");
         };
         assert_eq!(live, &[3], "live log did not shrink");
     }
 
     #[test]
+    fn corrupting_the_newest_ret_keeps_the_byte_total_exact() {
+        let mut log = Named::default();
+        log.append_with(
+            "open",
+            &[],
+            &Value::U64(3),
+            Vec::new(),
+            SessionEvent::None,
+            true,
+        );
+        let before = log.log.byte_len();
+        assert!(log.log.corrupt_newest_ret());
+        let corrupted = Value::from("corrupted-log-record").byte_len();
+        assert_eq!(log.log.byte_len(), before - 8 + corrupted);
+        assert_eq!(
+            log.log.iter().next().unwrap().byte_len(),
+            log.log.byte_len()
+        );
+    }
+
+    #[test]
     fn incremental_totals_match_recomputation() {
-        let mut log = FunctionLog::new();
+        let mut log = Named::default();
         for s in 0..50u64 {
-            append_simple(&mut log, "open", SessionEvent::Open(vec![s]), true);
+            log.append("open", SessionEvent::Open(vec![s]), true);
             for _ in 0..4 {
-                log.append(
-                    "app",
+                log.append_with(
                     "write",
                     &[Value::U64(s), Value::Bytes(vec![0; 32])],
                     &Value::U64(32),
@@ -760,9 +895,10 @@ mod tests {
                 );
             }
             if s % 2 == 0 {
-                append_simple(&mut log, "close", SessionEvent::Close(vec![s]), true);
+                log.append("close", SessionEvent::Close(vec![s]), true);
             }
         }
+        let log = &log.log;
         let bytes: usize = log.iter().map(LogEntry::byte_len).sum();
         let records: usize = log.iter().map(LogEntry::record_count).sum();
         assert_eq!(log.byte_len(), bytes);
@@ -772,20 +908,20 @@ mod tests {
 
     #[test]
     fn store_gc_preserves_order_and_indices() {
-        let mut log = FunctionLog::new();
+        let mut log = Named::default();
         // Enough appends+closes to trigger tombstone GC several times over.
         for s in 0..200u64 {
-            append_simple(&mut log, "open", SessionEvent::Open(vec![s]), true);
-            append_simple(&mut log, "read", SessionEvent::Touch(s), true);
-            append_simple(&mut log, "close", SessionEvent::Close(vec![s]), true);
+            log.append("open", SessionEvent::Open(vec![s]), true);
+            log.append("read", SessionEvent::Touch(s), true);
+            log.append("close", SessionEvent::Close(vec![s]), true);
         }
-        append_simple(&mut log, "open", SessionEvent::Open(vec![999]), true);
-        append_simple(&mut log, "read", SessionEvent::Touch(999), true);
-        assert_eq!(log.len(), 2);
-        let seqs: Vec<u64> = log.iter().map(|e| e.seq).collect();
+        log.append("open", SessionEvent::Open(vec![999]), true);
+        log.append("read", SessionEvent::Touch(999), true);
+        assert_eq!(log.log.len(), 2);
+        let seqs: Vec<u64> = log.log.iter().map(|e| e.seq).collect();
         assert!(seqs.windows(2).all(|w| w[0] < w[1]), "order lost: {seqs:?}");
         // The indices still resolve the surviving session.
-        append_simple(&mut log, "close", SessionEvent::Close(vec![999]), true);
-        assert!(log.is_empty());
+        log.append("close", SessionEvent::Close(vec![999]), true);
+        assert!(log.log.is_empty());
     }
 }

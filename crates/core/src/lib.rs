@@ -40,16 +40,18 @@ pub mod reboot;
 pub mod resilience;
 pub mod runtime;
 pub mod stats;
+pub mod symbols;
 
 pub use analysis::{analyze_configuration, describe_component_set};
 pub use config::{ComponentSet, Mode, SchedulerKind, VampConfig};
 pub use faults::{FaultKind, InjectedFault};
-pub use funclog::{DownRec, FunctionLog, LogEntry};
+pub use funclog::{Call, Compaction, DownRec, FunctionLog, LogEntry};
 pub use os::{Os, Whence};
 pub use reboot::{FullRebootOutcome, RebootOutcome};
 pub use resilience::AgingEntry;
 pub use runtime::{MemoryReport, System, SystemBuilder};
 pub use stats::{DowntimeWindow, SystemStats};
+pub use symbols::{Caller, ComponentId, FnId};
 pub use vampos_telemetry::{
     Collector, RecoveryPhase, SpanDump, SpanKind, SpanRecord, TelemetryHub, TelemetrySink,
 };

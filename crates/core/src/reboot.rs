@@ -7,10 +7,11 @@ use std::collections::VecDeque;
 
 use vampos_sim::Nanos;
 use vampos_telemetry::RecoveryPhase;
-use vampos_ukernel::{OsError, Value};
+use vampos_ukernel::{ComponentBox, OsError, Value};
 
 use crate::runtime::{Ctx, PendingRecovery, ReplayState, System};
 use crate::stats::DowntimeWindow;
+use crate::symbols::{ComponentId, FnId};
 
 /// The result of a component-level reboot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,9 +47,8 @@ impl System {
     /// the host (VIRTIO), [`OsError::ReplayMismatch`] when restoration
     /// cannot reproduce the pre-reboot state (the system then fail-stops).
     pub fn reboot_component(&mut self, name: &str) -> Result<RebootOutcome, OsError> {
-        let &idx = self
-            .by_name
-            .get(name)
+        let idx = self
+            .slot_index(name)
             .ok_or_else(|| OsError::UnknownComponent(name.to_owned()))?;
         if !self.slots[idx].desc.is_rebootable() {
             return Err(OsError::Unrebootable {
@@ -66,9 +66,8 @@ impl System {
     ///
     /// Same as [`System::reboot_component`], minus the rebootability check.
     pub fn force_reboot_component(&mut self, name: &str) -> Result<RebootOutcome, OsError> {
-        let &idx = self
-            .by_name
-            .get(name)
+        let idx = self
+            .slot_index(name)
             .ok_or_else(|| OsError::UnknownComponent(name.to_owned()))?;
         self.reboot_index(idx)
     }
@@ -89,7 +88,7 @@ impl System {
         let mut outcomes = Vec::new();
         let mut done_groups = Vec::new();
         for name in names {
-            let idx = self.by_name[&name];
+            let idx = self.slot_index(&name).expect("a linked name");
             let group = self.slots[idx].group;
             if done_groups.contains(&group) {
                 continue; // composite already rebooted with its leader
@@ -240,48 +239,13 @@ impl System {
         // Encapsulated restoration: replay the selected log entries with
         // downcalls answered from the return-value log.
         let replay_start = self.clock.now();
-        let mut replayed = 0usize;
-        if self.slots[idx].desc.is_stateful() {
-            let entries = self.slots[idx].log.replay_entries();
-            let name = self.slots[idx].name.clone();
-            for entry in entries {
-                self.clock.advance(self.costs.replay_entry);
-                let mut ctx = Ctx {
-                    sys: self,
-                    me: idx,
-                    pending: None,
-                    replay: Some(ReplayState {
-                        downcalls: VecDeque::from(entry.downcalls.clone()),
-                        hint: entry.ret.clone(),
-                        component: name.clone(),
-                    }),
-                };
-                let result = comp.call(&mut ctx, &entry.func, &entry.args);
-                match result {
-                    Ok(ret) if ret == entry.ret => {}
-                    Ok(ret) => {
-                        self.failed = true;
-                        self.slots[idx].comp = Some(comp);
-                        return Err(OsError::ReplayMismatch {
-                            component: name,
-                            detail: format!(
-                                "{} replayed to {ret} (logged {})",
-                                entry.func, entry.ret
-                            ),
-                        });
-                    }
-                    Err(e) => {
-                        self.failed = true;
-                        self.slots[idx].comp = Some(comp);
-                        return Err(OsError::ReplayMismatch {
-                            component: name,
-                            detail: format!("{} failed during replay: {e}", entry.func),
-                        });
-                    }
-                }
-                replayed += 1;
+        let replayed = match self.replay_log(idx, &mut comp, false) {
+            Ok(replayed) => replayed,
+            Err(e) => {
+                self.slots[idx].comp = Some(comp);
+                return Err(e);
             }
-        }
+        };
 
         let replay_end = self.clock.now();
         self.emit(|c| {
@@ -308,6 +272,54 @@ impl System {
         Ok((replayed, snapshot_bytes))
     }
 
+    /// Encapsulated restoration (§V-B): replays slot `idx`'s log into
+    /// `comp`, answering its downcalls from the return-value log, and
+    /// returns the entries replayed. A divergence fail-stops the system;
+    /// `swap` words the error for a swapped-in implementation.
+    pub(crate) fn replay_log(
+        &mut self,
+        idx: usize,
+        comp: &mut ComponentBox,
+        swap: bool,
+    ) -> Result<usize, OsError> {
+        if !self.slots[idx].desc.is_stateful() {
+            return Ok(0);
+        }
+        let entries = self.slots[idx].log.replay_entries();
+        let name = self.slots[idx].name.clone();
+        for entry in &entries {
+            self.clock.advance(self.costs.replay_entry);
+            let func_name = self.slots[idx].fns.shared_name(entry.func);
+            let mut ctx = Ctx {
+                sys: self,
+                me: idx,
+                pending: None,
+                replay: Some(ReplayState {
+                    downcalls: VecDeque::from(entry.downcalls.clone()),
+                    hint: entry.ret.clone(),
+                    component: name.clone(),
+                }),
+            };
+            let outcome = comp.call(&mut ctx, &func_name, &entry.args);
+            let (func, logged) = (&*func_name, &entry.ret);
+            let detail = match outcome {
+                Ok(ret) if ret == *logged => continue,
+                Ok(ret) if swap => {
+                    format!("{func} replayed to {ret} on the replacement (logged {logged})")
+                }
+                Ok(ret) => format!("{func} replayed to {ret} (logged {logged})"),
+                Err(e) if swap => format!("{func} failed on the replacement: {e}"),
+                Err(e) => format!("{func} failed during replay: {e}"),
+            };
+            self.failed = true;
+            return Err(OsError::ReplayMismatch {
+                component: name,
+                detail,
+            });
+        }
+        Ok(entries.len())
+    }
+
     /// Forces a fail-stop failure of `component` right now — the §VII-E
     /// experiment "intentionally inject\[s\] a fail-stop failure into 9PFS …
     /// we force 9PFS to call `panic()` and trigger its reboot". The failure
@@ -319,9 +331,8 @@ impl System {
     /// [`OsError::FailStop`] when the component is unrebootable or
     /// auto-recovery is off; reboot errors otherwise.
     pub fn force_component_failure(&mut self, component: &str) -> Result<RebootOutcome, OsError> {
-        let &tid = self
-            .by_name
-            .get(component)
+        let tid = self
+            .slot_index(component)
             .ok_or_else(|| OsError::UnknownComponent(component.to_owned()))?;
         self.stats.failures += 1;
         let detect_start = self.clock.now();
@@ -354,9 +365,8 @@ impl System {
     /// [`OsError::Unrebootable`] for host-shared components; reboot errors
     /// otherwise.
     pub fn spurious_detection(&mut self, component: &str) -> Result<RebootOutcome, OsError> {
-        let &tid = self
-            .by_name
-            .get(component)
+        let tid = self
+            .slot_index(component)
             .ok_or_else(|| OsError::UnknownComponent(component.to_owned()))?;
         if !self.slots[tid].desc.is_rebootable() {
             return Err(OsError::Unrebootable {
@@ -414,7 +424,7 @@ impl System {
         self.detector_suppressed = 0;
         self.reboot_interrupts.clear();
 
-        if self.by_name.contains_key("9pfs") {
+        if self.slot_index("9pfs").is_some() {
             self.syscall(
                 vampos_ukernel::names::VFS,
                 vampos_oslib::funcs::vfs::MOUNT,
@@ -458,10 +468,11 @@ impl System {
         tid: usize,
         err: OsError,
         caller: Option<usize>,
-        target: &str,
-        func: &str,
+        func: FnId,
+        func_name: &str,
         args: &[Value],
     ) -> Result<Value, OsError> {
+        let target = self.slots[tid].name.clone();
         if self.detector_suppressed > 0 {
             // False-negative window (chaos fault injection): the detector
             // sleeps through this failure. The component stays down and
@@ -484,7 +495,7 @@ impl System {
             OsError::ProtectionFault(_) => "mpk-violation",
             _ => "failure",
         };
-        self.emit(|c| c.failure_detected(target, kind, detect_end));
+        self.emit(|c| c.failure_detected(&target, kind, detect_end));
 
         if !self.auto_recover {
             return Err(err);
@@ -503,7 +514,7 @@ impl System {
                 });
                 self.reboot_index(tid)?;
             }
-            1 if self.alternates.contains_key(target) => {
+            1 if self.alternates.contains_key(&target) => {
                 // The failure recurred on the re-executed input: a
                 // deterministic bug in the component's code. Swap in the
                 // registered alternate version (§VIII multi-versioning) —
@@ -511,9 +522,9 @@ impl System {
                 // from the same log, and try once more.
                 let alt = self
                     .alternates
-                    .remove(target)
+                    .remove(&target)
                     .expect("checked contains_key");
-                self.faults.clear_component(target);
+                self.faults.clear_component(ComponentId::new(tid));
                 self.pending_recovery = Some(PendingRecovery {
                     kind,
                     detect_start,
@@ -533,7 +544,7 @@ impl System {
 
         // Re-execute the in-flight message.
         self.retry_depth += 1;
-        let result = self.invoke_from(caller, target, func, args);
+        let result = self.invoke_from(caller, ComponentId::new(tid), func, func_name, args);
         self.retry_depth -= 1;
         match result {
             Ok(v) => {

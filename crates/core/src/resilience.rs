@@ -92,57 +92,20 @@ impl System {
 
         replacement.reset();
         self.clock.advance(self.costs.thread_spawn);
-        self.slots[tid].desc = replacement.descriptor().clone();
+        self.set_descriptor(tid, replacement.descriptor().clone());
         self.slots[tid].boot_snapshot = None;
 
         // Encapsulated restoration against the new implementation.
         let replay_start = self.clock.now();
-        let mut replayed = 0usize;
-        if self.slots[tid].desc.is_stateful() {
-            let entries = self.slots[tid].log.replay_entries();
-            for entry in entries {
-                self.clock.advance(self.costs.replay_entry);
-                let mut ctx = crate::runtime::Ctx {
-                    sys: self,
-                    me: tid,
-                    pending: None,
-                    replay: Some(crate::runtime::ReplayState {
-                        downcalls: std::collections::VecDeque::from(entry.downcalls.clone()),
-                        hint: entry.ret.clone(),
-                        component: name.clone(),
-                    }),
-                };
-                match replacement.call(&mut ctx, &entry.func, &entry.args) {
-                    Ok(ret) if ret == entry.ret => {}
-                    Ok(ret) => {
-                        self.failed = true;
-                        let err = OsError::ReplayMismatch {
-                            component: name.clone(),
-                            detail: format!(
-                                "{} replayed to {ret} on the replacement (logged {})",
-                                entry.func, entry.ret
-                            ),
-                        };
-                        let at = self.clock.now();
-                        let detail = err.to_string();
-                        self.emit(|c| c.recovery_abort(&name, at, &detail));
-                        return Err(err);
-                    }
-                    Err(e) => {
-                        self.failed = true;
-                        let err = OsError::ReplayMismatch {
-                            component: name.clone(),
-                            detail: format!("{} failed on the replacement: {e}", entry.func),
-                        };
-                        let at = self.clock.now();
-                        let detail = err.to_string();
-                        self.emit(|c| c.recovery_abort(&name, at, &detail));
-                        return Err(err);
-                    }
-                }
-                replayed += 1;
+        let replayed = match self.replay_log(tid, &mut replacement, true) {
+            Ok(replayed) => replayed,
+            Err(err) => {
+                let at = self.clock.now();
+                let detail = err.to_string();
+                self.emit(|c| c.recovery_abort(&name, at, &detail));
+                return Err(err);
             }
-        }
+        };
         let replay_end = self.clock.now();
         self.emit(|c| c.recovery_phase(&name, RecoveryPhase::LogReplay, replay_start, replay_end));
         if let Some(data) = extract {
@@ -198,9 +161,8 @@ impl System {
         component: &str,
         replacement: ComponentBox,
     ) -> Result<RebootOutcome, OsError> {
-        let &tid = self
-            .by_name
-            .get(component)
+        let tid = self
+            .slot_index(component)
             .ok_or_else(|| OsError::UnknownComponent(component.to_owned()))?;
         let outcome = self.swap_component(tid, replacement)?;
         self.stats.component_updates += 1;
@@ -258,7 +220,7 @@ impl System {
             .collect();
         let mut outcomes = Vec::new();
         for name in aged {
-            let idx = self.by_name[&name];
+            let idx = self.slot_index(&name).expect("a linked name");
             if self.slots[idx].desc.is_rebootable() {
                 outcomes.push(self.reboot_index(idx)?);
             }

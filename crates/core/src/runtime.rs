@@ -8,13 +8,16 @@ use vampos_mem::Snapshot;
 use vampos_mpk::{AccessKind, DomainId, KeyRegistry, Pkru};
 use vampos_sim::{CostModel, Nanos, SimClock, SimRng};
 use vampos_telemetry::{Collector, TelemetrySink};
-use vampos_ukernel::{names, CallContext, ComponentBox, ComponentDescriptor, OsError, Value};
+use vampos_ukernel::{
+    names, CallContext, ComponentBox, ComponentDescriptor, OsError, TouchSynthesis, Value,
+};
 
 use crate::config::{ComponentSet, Mode, SchedulerKind};
-use crate::faults::{FaultAction, FaultPlan};
-use crate::funclog::{DownRec, FunctionLog};
+use crate::faults::{FaultAction, FaultKey, FaultPlan};
+use crate::funclog::{downcall_bytes, entry_bytes, Call, Compaction, DownRec, FunctionLog};
 use crate::os::Os;
 use crate::stats::SystemStats;
+use crate::symbols::{slot_named, Caller, ComponentId, FnId, FnTable, COMPACTOR};
 
 /// Message-domain memory reserved per component in VampOS mode (message
 /// buffers; the function logs are accounted separately by actual size).
@@ -24,6 +27,12 @@ pub(crate) struct Slot {
     pub(crate) name: String,
     pub(crate) comp: Option<ComponentBox>,
     pub(crate) desc: ComponentDescriptor,
+    /// The component's function ids and logged bits, derived from `desc`.
+    pub(crate) fns: FnTable,
+    /// `predicts[t]`: a hop from this component to slot `t` is one its
+    /// descriptor declares, so dependency-aware scheduling predicts it.
+    /// Derived from `desc`.
+    pub(crate) predicts: Vec<bool>,
     pub(crate) log: FunctionLog,
     pub(crate) up: bool,
     pub(crate) domain: DomainId,
@@ -88,7 +97,9 @@ pub struct System {
     pub(crate) set: ComponentSet,
     pub(crate) host: HostHandle,
     pub(crate) slots: Vec<Slot>,
-    pub(crate) by_name: BTreeMap<String, usize>,
+    /// Component names calls have used that the image does not link, with
+    /// their function tables; [`ComponentId`] `slots.len() + i` is entry `i`.
+    pub(crate) unlinked: Vec<(String, FnTable)>,
     pub(crate) mpk: KeyRegistry,
     pub(crate) auto_recover: bool,
     pub(crate) graceful: bool,
@@ -297,7 +308,6 @@ impl SystemBuilder {
             .unwrap_or_default();
 
         let mut slots: Vec<Slot> = Vec::new();
-        let mut by_name = BTreeMap::new();
         let mut boot_components: Vec<(String, ComponentBox)> = Vec::new();
         for &name in self.set.components() {
             let comp = crate::analysis::instantiate(name, &host)?;
@@ -333,11 +343,7 @@ impl SystemBuilder {
             let group_leader = merges
                 .iter()
                 .find(|g| g.iter().any(|m| m == name))
-                .and_then(|g| {
-                    g.iter()
-                        .filter_map(|m| by_name.get(m.as_str()).copied())
-                        .min()
-                });
+                .and_then(|g| g.iter().filter_map(|m| slot_named(&slots, m)).min());
             let (domain, group) = match group_leader {
                 Some(leader) => {
                     let leader_slot: &Slot = &slots[leader];
@@ -348,10 +354,11 @@ impl SystemBuilder {
                     idx,
                 ),
             };
-            by_name.insert(name.to_owned(), idx);
             slots.push(Slot {
                 name: name.to_owned(),
                 comp: Some(comp),
+                fns: FnTable::seeded(&desc),
+                predicts: Vec::new(),
                 desc,
                 log: FunctionLog::new(),
                 up: true,
@@ -364,6 +371,13 @@ impl SystemBuilder {
                 condemned: false,
                 checkpoint_corrupt: false,
             });
+        }
+        let predicts: Vec<Vec<bool>> = slots
+            .iter()
+            .map(|s| predicted_targets(&s.desc, &slots))
+            .collect();
+        for (slot, predicts) in slots.iter_mut().zip(predicts) {
+            slot.predicts = predicts;
         }
         mpk.register(names::MSG_DOMAIN)
             .map_err(|e| OsError::Io(e.to_string()))?;
@@ -378,7 +392,7 @@ impl SystemBuilder {
             set: self.set,
             host,
             slots,
-            by_name,
+            unlinked: Vec::new(),
             mpk,
             auto_recover: self.auto_recover,
             graceful: self.graceful,
@@ -416,7 +430,7 @@ impl System {
         ];
         let mut order: Vec<String> = known
             .iter()
-            .filter(|n| self.by_name.contains_key(**n))
+            .filter(|n| self.slot_index(n).is_some())
             .map(|n| (*n).to_owned())
             .collect();
         for slot in &self.slots {
@@ -425,7 +439,7 @@ impl System {
             }
         }
         for name in order {
-            if let Some(&idx) = self.by_name.get(name.as_str()) {
+            if let Some(idx) = self.slot_index(name.as_str()) {
                 let mut comp = self.slots[idx]
                     .comp
                     .take()
@@ -442,7 +456,7 @@ impl System {
             }
         }
         // Mount the root file system through the regular (logged) path.
-        if self.by_name.contains_key("9pfs") {
+        if self.slot_index("9pfs").is_some() {
             self.syscall(
                 names::VFS,
                 vampos_oslib::funcs::vfs::MOUNT,
@@ -538,9 +552,15 @@ impl System {
         Os::new(self)
     }
 
-    /// Arms an injected fault.
+    /// Arms an injected fault. Its names are resolved now; a name no call
+    /// uses never matches.
     pub fn inject_fault(&mut self, fault: crate::faults::InjectedFault) {
-        self.faults.arm(fault);
+        let component = self.component_id(&fault.component);
+        let func = fault
+            .func
+            .as_deref()
+            .map(|f| self.fn_table_mut(component).resolve(f));
+        self.faults.arm(fault, FaultKey { component, func });
     }
 
     /// The faults still armed on the system, in arm order. A liveness
@@ -569,7 +589,7 @@ impl System {
     /// checkpoint-restore phase. A full reboot recaptures the checkpoint
     /// and clears the flag. Unknown names are ignored.
     pub fn corrupt_boot_checkpoint(&mut self, component: &str) {
-        if let Some(&idx) = self.by_name.get(component) {
+        if let Some(idx) = self.slot_index(component) {
             self.slots[idx].checkpoint_corrupt = true;
         }
     }
@@ -579,8 +599,8 @@ impl System {
     /// diverges from the logged return value. Returns whether an entry was
     /// corrupted (false for unknown names or empty logs).
     pub fn corrupt_replay_log(&mut self, component: &str) -> bool {
-        match self.by_name.get(component) {
-            Some(&idx) => self.slots[idx].log.corrupt_newest_ret(),
+        match self.slot_index(component) {
+            Some(idx) => self.slots[idx].log.corrupt_newest_ret(),
             None => false,
         }
     }
@@ -597,33 +617,29 @@ impl System {
     /// Whether `component` can be rebooted alone (`None` for unknown
     /// names). Host-shared components such as VIRTIO cannot (§VIII).
     pub fn is_rebootable(&self, component: &str) -> Option<bool> {
-        self.by_name
-            .get(component)
-            .map(|&i| self.slots[i].desc.is_rebootable())
+        self.slot_index(component)
+            .map(|i| self.slots[i].desc.is_rebootable())
     }
 
     /// Whether the hang detector ignores `component` (`None` for unknown
     /// names). Event-waiting components such as LWIP are exempt (§V-A).
     pub fn is_hang_exempt(&self, component: &str) -> Option<bool> {
-        self.by_name
-            .get(component)
-            .map(|&i| self.slots[i].desc.is_hang_exempt())
+        self.slot_index(component)
+            .map(|i| self.slots[i].desc.is_hang_exempt())
     }
 
     /// Current live log entries of a component.
     pub fn log_len(&self, component: &str) -> usize {
-        self.by_name
-            .get(component)
-            .map(|&i| self.slots[i].log.len())
+        self.slot_index(component)
+            .map(|i| self.slots[i].log.len())
             .unwrap_or(0)
     }
 
     /// Current log records (entries + recorded downcall returns) of a
     /// component — the unit Table III counts.
     pub fn log_records(&self, component: &str) -> usize {
-        self.by_name
-            .get(component)
-            .map(|&i| self.slots[i].log.record_count())
+        self.slot_index(component)
+            .map(|i| self.slots[i].log.record_count())
             .unwrap_or(0)
     }
 
@@ -659,15 +675,14 @@ impl System {
 
     /// A component's current state digest (testing / corruption checks).
     pub fn state_digest(&self, component: &str) -> Option<u64> {
-        let &idx = self.by_name.get(component)?;
+        let idx = self.slot_index(component)?;
         self.slots[idx].comp.as_ref().map(|c| c.state_digest())
     }
 
     /// Per-component reboot count.
     pub fn reboot_count(&self, component: &str) -> u64 {
-        self.by_name
-            .get(component)
-            .map(|&i| self.slots[i].reboots)
+        self.slot_index(component)
+            .map(|i| self.slots[i].reboots)
             .unwrap_or(0)
     }
 
@@ -675,9 +690,8 @@ impl System {
     /// partway (which [`System::reboot_count`] does not count). Every
     /// member of a merged group is counted when the group reboots.
     pub fn reboot_attempts(&self, component: &str) -> u64 {
-        self.by_name
-            .get(component)
-            .map(|&i| self.slots[i].reboot_attempts)
+        self.slot_index(component)
+            .map(|i| self.slots[i].reboot_attempts)
             .unwrap_or(0)
     }
 
@@ -685,9 +699,8 @@ impl System {
     /// once it passes fault injection, so a call an injected panic or hang
     /// stopped before its request hop does not (its retry does).
     pub fn calls_into(&self, component: &str) -> u64 {
-        self.by_name
-            .get(component)
-            .map(|&i| self.slots[i].calls_in)
+        self.slot_index(component)
+            .map(|i| self.slots[i].calls_in)
             .unwrap_or(0)
     }
 
@@ -696,7 +709,7 @@ impl System {
         self.slots.iter().map(|s| s.name.clone()).collect()
     }
 
-    /// Issues a syscall from the application layer, recording its timing.
+    /// Issues a syscall from the application layer.
     ///
     /// # Errors
     ///
@@ -705,9 +718,8 @@ impl System {
     pub fn syscall(&mut self, target: &str, func: &str, args: &[Value]) -> Result<Value, OsError> {
         let start = self.clock.now();
         self.emit(|c| c.syscall_begin(func, start));
-        let result = self.invoke_from(None, target, func, args);
-        let took = self.clock.now().saturating_sub(start);
-        self.stats.record_syscall(func, took);
+        let (target, func_id) = self.resolve(target, func);
+        let result = self.invoke_from(None, target, func_id, func, args);
         let end = self.clock.now();
         let ok = result.is_ok();
         self.emit(|c| c.syscall_end(end, ok));
@@ -725,13 +737,11 @@ impl System {
     ///
     /// [`OsError::ProtectionFault`] when isolation caught the access.
     pub fn trigger_wild_write(&mut self, from: &str, to: &str) -> Result<(), OsError> {
-        let &from_idx = self
-            .by_name
-            .get(from)
+        let from_idx = self
+            .slot_index(from)
             .ok_or_else(|| OsError::UnknownComponent(from.to_owned()))?;
-        let &to_idx = self
-            .by_name
-            .get(to)
+        let to_idx = self
+            .slot_index(to)
             .ok_or_else(|| OsError::UnknownComponent(to.to_owned()))?;
         let isolation = self
             .mode
@@ -790,9 +800,8 @@ impl System {
     ///
     /// [`OsError::UnknownComponent`] for unknown names.
     pub fn pkru_for(&mut self, component: &str) -> Result<Pkru, OsError> {
-        let &tid = self
-            .by_name
-            .get(component)
+        let tid = self
+            .slot_index(component)
             .ok_or_else(|| OsError::UnknownComponent(component.to_owned()))?;
         let own = self
             .mpk
@@ -847,11 +856,7 @@ impl System {
                         // scheduler falls back to scanning the ring.
                         let predicted = match caller {
                             None => true, // the app's messages wake the scheduler directly
-                            Some(c) => self.slots[c]
-                                .desc
-                                .dependencies()
-                                .iter()
-                                .any(|d| d.as_str() == self.slots[target].name),
+                            Some(c) => self.slots[c].predicts[target],
                         };
                         let mut w = if predicted {
                             self.costs.das_wait()
@@ -901,11 +906,25 @@ impl System {
         }
     }
 
+    /// Replaces slot `tid`'s descriptor (a version swap) and re-derives
+    /// what the call path caches from it: the logged bits and the
+    /// dependency-aware predictions.
+    pub(crate) fn set_descriptor(&mut self, tid: usize, desc: ComponentDescriptor) {
+        let predicts = predicted_targets(&desc, &self.slots);
+        let slot = &mut self.slots[tid];
+        slot.fns.reseed(&desc);
+        slot.predicts = predicts;
+        slot.desc = desc;
+    }
+
+    /// One cross-component call, by id. `func_name` is `func`'s name, which
+    /// the callee dispatches on.
     pub(crate) fn invoke_from(
         &mut self,
         caller: Option<usize>,
-        target: &str,
-        func: &str,
+        target: ComponentId,
+        func: FnId,
+        func_name: &str,
         args: &[Value],
     ) -> Result<Value, OsError> {
         if self.failed {
@@ -913,21 +932,23 @@ impl System {
                 reason: "system previously fail-stopped".to_owned(),
             });
         }
-        let &tid = self
-            .by_name
-            .get(target)
-            .ok_or_else(|| OsError::UnknownComponent(target.to_owned()))?;
-        if !self.slots[tid].up {
+        let tid = target.index();
+        let Some(slot) = self.slots.get(tid) else {
+            return Err(OsError::UnknownComponent(
+                self.component_name(target).to_owned(),
+            ));
+        };
+        if !slot.up {
             return Err(OsError::ComponentUnavailable {
-                component: target.to_owned(),
+                component: slot.name.clone(),
             });
         }
-        if self.slots[tid].comp.is_none() {
+        if slot.comp.is_none() {
             // The target's (conceptual) thread is blocked inside a call and
             // our simulation cannot re-enter it; VampOS would attach a fresh
             // thread (§V-A). The component DAG keeps this from happening on
             // legitimate paths.
-            return Err(OsError::Io(format!("re-entrant call into {target}")));
+            return Err(OsError::Io(format!("re-entrant call into {}", slot.name)));
         }
 
         // Fault injection fires at message-pull time.
@@ -936,10 +957,10 @@ impl System {
             FaultAction::None => {}
             FaultAction::Panic => {
                 let err = OsError::Panic {
-                    component: target.to_owned(),
+                    component: self.slots[tid].name.clone(),
                     reason: "injected fail-stop fault".to_owned(),
                 };
-                return self.handle_failure(tid, err, caller, target, func, args);
+                return self.handle_failure(tid, err, caller, func, func_name, args);
             }
             FaultAction::Hang(threshold) => {
                 self.clock.advance(threshold);
@@ -950,9 +971,9 @@ impl System {
                     return Err(OsError::WouldBlock);
                 }
                 let err = OsError::Hang {
-                    component: target.to_owned(),
+                    component: self.slots[tid].name.clone(),
                 };
-                return self.handle_failure(tid, err, caller, target, func, args);
+                return self.handle_failure(tid, err, caller, func, func_name, args);
             }
             FaultAction::Leak(bytes) => {
                 if let Some(comp) = self.slots[tid].comp.as_mut() {
@@ -966,21 +987,28 @@ impl System {
             }
         }
 
-        let logged = self.mode.is_vampos() && self.slots[tid].desc.is_logged(func);
+        let logged = self.mode.is_vampos() && self.slots[tid].fns.is_logged(func);
         let args_bytes: usize = args.iter().map(Value::byte_len).sum();
         let hop_start = self.clock.now();
         self.charge_request_hop(caller, tid, args_bytes, logged);
         self.slots[tid].calls_in += 1;
-        self.emit(|c| c.call_begin(self.caller_name(caller), target, func, hop_start));
+        self.emit(|c| {
+            c.call_begin(
+                self.caller_name(caller),
+                &self.slots[tid].name,
+                func_name,
+                hop_start,
+            )
+        });
 
         let mut comp = self.slots[tid].comp.take().expect("checked above");
         let mut ctx = Ctx {
             sys: self,
             me: tid,
-            pending: logged.then(Vec::new),
+            pending: logged.then(Pending::default),
             replay: None,
         };
-        let result = comp.call(&mut ctx, func, args);
+        let result = comp.call(&mut ctx, func_name, args);
         let downcalls = ctx.pending.take().unwrap_or_default();
         self.slots[tid].comp = Some(comp);
 
@@ -989,7 +1017,23 @@ impl System {
                 let ret_bytes = ret.byte_len();
                 self.charge_reply_hop(caller, tid, ret_bytes);
                 if logged {
-                    self.append_log(tid, caller, func, args, &ret, downcalls);
+                    let bytes = entry_bytes(
+                        self.caller_name(caller),
+                        func_name,
+                        args_bytes,
+                        ret_bytes,
+                        downcalls.bytes,
+                    );
+                    let call = Call {
+                        caller: caller
+                            .map_or(Caller::App, |c| Caller::Component(ComponentId::new(c))),
+                        func,
+                        args,
+                        ret: &ret,
+                        downcalls: downcalls.recs,
+                        bytes,
+                    };
+                    self.append_log(tid, func_name, call);
                 }
                 Ok(ret)
             }
@@ -998,12 +1042,12 @@ impl System {
                     // Components report their own crashes generically; pin
                     // the component name for the detector.
                     OsError::Panic { reason, .. } => OsError::Panic {
-                        component: target.to_owned(),
+                        component: self.slots[tid].name.clone(),
                         reason,
                     },
                     other => other,
                 };
-                self.handle_failure(tid, err, caller, target, func, args)
+                self.handle_failure(tid, err, caller, func, func_name, args)
             }
             Err(err) => {
                 self.charge_reply_hop(caller, tid, 8);
@@ -1019,15 +1063,7 @@ impl System {
         caller.map_or(names::APP, |c| self.slots[c].name.as_str())
     }
 
-    fn append_log(
-        &mut self,
-        tid: usize,
-        caller: Option<usize>,
-        func: &str,
-        args: &[Value],
-        ret: &Value,
-        downcalls: Vec<DownRec>,
-    ) {
+    fn append_log(&mut self, tid: usize, func_name: &str, call: Call<'_>) {
         // Copy out the two knobs rather than clone the config (and its
         // merge lists) on every logged call.
         let cfg = self
@@ -1035,15 +1071,13 @@ impl System {
             .vamp_config()
             .expect("only VampOS modes log calls");
         let (shrinking, threshold) = (cfg.log_shrinking, cfg.shrink_threshold);
-        let (slot, caller_name) = slot_with_caller(&mut self.slots, tid, caller);
+        let slot = &mut self.slots[tid];
         let event = slot
             .comp
             .as_ref()
             .expect("component present")
-            .session_event(func, args, ret);
-        let outcome = slot
-            .log
-            .append(caller_name, func, args, ret, downcalls, event, shrinking);
+            .session_event(func_name, call.args, call.ret);
+        let outcome = slot.log.append(call, event, shrinking);
         let live = slot.log.len() as u64;
         self.stats.log_appended += 1;
         self.stats.log_removed += outcome.removed as u64;
@@ -1070,12 +1104,26 @@ impl System {
         self.clock.advance(scan);
         let mut removed_total = 0usize;
         for session in sessions {
-            let decision = self.slots[tid]
+            let slot = &mut self.slots[tid];
+            let decision = match slot
                 .comp
                 .as_ref()
                 .expect("component present")
-                .synthesize_touch(session);
-            removed_total += self.slots[tid].log.compact_session(session, decision);
+                .synthesize_touch(session)
+            {
+                TouchSynthesis::Keep => Compaction::Keep,
+                TouchSynthesis::Drop => Compaction::Drop,
+                TouchSynthesis::Replace { func, args, ret } => {
+                    let args_bytes = args.iter().map(Value::byte_len).sum();
+                    Compaction::Replace {
+                        func: slot.fns.resolve(&func),
+                        bytes: entry_bytes(COMPACTOR, &func, args_bytes, ret.byte_len(), 0),
+                        args,
+                        ret,
+                    }
+                }
+            };
+            removed_total += slot.log.compact_session(session, decision);
         }
         if removed_total > 0 {
             self.clock.advance(self.costs.compaction_pause);
@@ -1086,21 +1134,12 @@ impl System {
     }
 }
 
-/// Borrows slot `tid` mutably together with the name of `caller` (another
-/// slot, or the application when `None`). A component never calls itself —
-/// its slot is empty while it runs — so the two never alias.
-fn slot_with_caller(slots: &mut [Slot], tid: usize, caller: Option<usize>) -> (&mut Slot, &str) {
-    match caller {
-        None => (&mut slots[tid], names::APP),
-        Some(c) if c < tid => {
-            let (lo, hi) = slots.split_at_mut(tid);
-            (&mut hi[0], lo[c].name.as_str())
-        }
-        Some(c) => {
-            let (lo, hi) = slots.split_at_mut(c);
-            (&mut lo[tid], hi[0].name.as_str())
-        }
-    }
+/// `Slot::predicts` for a component described by `desc` among `slots`.
+fn predicted_targets(desc: &ComponentDescriptor, slots: &[Slot]) -> Vec<bool> {
+    slots
+        .iter()
+        .map(|t| desc.dependencies().iter().any(|d| d.as_str() == t.name))
+        .collect()
 }
 
 /// Memory utilisation breakdown (Fig. 7b).
@@ -1131,9 +1170,17 @@ pub(crate) struct Ctx<'a> {
     pub(crate) sys: &'a mut System,
     pub(crate) me: usize,
     /// Downcall records for the in-flight logged entry.
-    pub(crate) pending: Option<Vec<DownRec>>,
+    pub(crate) pending: Option<Pending>,
     /// Replay state during encapsulated restoration.
     pub(crate) replay: Option<ReplayState>,
+}
+
+/// The downcalls recorded for an in-flight logged entry, with their
+/// [`downcall_bytes`] total.
+#[derive(Default)]
+pub(crate) struct Pending {
+    pub(crate) recs: Vec<DownRec>,
+    pub(crate) bytes: usize,
 }
 
 /// Replay bookkeeping: recorded downcalls served in order + the original
@@ -1146,6 +1193,7 @@ pub(crate) struct ReplayState {
 
 impl CallContext for Ctx<'_> {
     fn invoke(&mut self, target: &str, func: &str, args: &[Value]) -> Result<Value, OsError> {
+        let (target_id, func_id) = self.sys.resolve(target, func);
         if let Some(replay) = &mut self.replay {
             // Encapsulated restoration: answer from the return-value log
             // instead of invoking the (running) component — §V-B.
@@ -1156,23 +1204,27 @@ impl CallContext for Ctx<'_> {
                     component: replay.component.clone(),
                     detail: format!("unrecorded downcall {target}.{func} during replay"),
                 })?;
-            if rec.target != target || rec.func != func {
+            if rec.target != target_id || rec.func != func_id {
                 return Err(OsError::ReplayMismatch {
                     component: replay.component.clone(),
                     detail: format!(
                         "replay expected {}.{}, component called {target}.{func}",
-                        rec.target, rec.func
+                        self.sys.component_name(rec.target),
+                        self.sys.fn_table(rec.target).name(rec.func)
                     ),
                 });
             }
             self.sys.clock.advance(self.sys.costs.direct_call);
             return rec.ret;
         }
-        let result = self.sys.invoke_from(Some(self.me), target, func, args);
+        let result = self
+            .sys
+            .invoke_from(Some(self.me), target_id, func_id, func, args);
         if let Some(pending) = &mut self.pending {
-            pending.push(DownRec {
-                target: target.to_owned(),
-                func: func.to_owned(),
+            pending.bytes += downcall_bytes(func, &result);
+            pending.recs.push(DownRec {
+                target: target_id,
+                func: func_id,
                 ret: result.clone(),
             });
         }

@@ -1,8 +1,6 @@
 //! Runtime statistics: everything the evaluation harness reads.
 
-use std::collections::BTreeMap;
-
-use vampos_sim::{Nanos, Summary};
+use vampos_sim::Nanos;
 
 /// One downtime window recorded by the reboot engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,9 +23,6 @@ impl DowntimeWindow {
 /// Counters and timings collected by a running [`System`](crate::System).
 #[derive(Debug, Clone, Default)]
 pub struct SystemStats {
-    /// Per-syscall execution-time summaries (recorded by the harness via
-    /// [`SystemStats::record_syscall`]).
-    pub syscall_times: BTreeMap<String, Summary>,
     /// Message hops performed (push + pull pairs).
     pub msg_hops: u64,
     /// Context switches charged by the scheduler.
@@ -68,19 +63,6 @@ pub struct SystemStats {
 }
 
 impl SystemStats {
-    /// Records one syscall timing sample. A name's key is allocated only
-    /// the first time the name is seen.
-    pub fn record_syscall(&mut self, name: &str, took: Nanos) {
-        match self.syscall_times.get_mut(name) {
-            Some(summary) => summary.record_nanos(took),
-            None => self
-                .syscall_times
-                .entry(name.to_owned())
-                .or_default()
-                .record_nanos(took),
-        }
-    }
-
     /// Total downtime across all windows.
     pub fn total_downtime(&self) -> Nanos {
         self.downtime.iter().map(DowntimeWindow::duration).sum()
@@ -95,17 +77,6 @@ impl SystemStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn syscall_summaries_accumulate() {
-        let mut s = SystemStats::default();
-        s.record_syscall("open", Nanos::from_micros(10));
-        s.record_syscall("open", Nanos::from_micros(20));
-        s.record_syscall("read", Nanos::from_micros(1));
-        assert_eq!(s.syscall_times["open"].count(), 2);
-        assert_eq!(s.syscall_times["open"].mean(), 15.0);
-        assert_eq!(s.syscall_times.len(), 2);
-    }
 
     #[test]
     fn downtime_sums_windows() {

@@ -6,11 +6,17 @@
 //! `Vec<LogEntry>` + triple-`retain` implementation (O(n) per close); the
 //! indexed log must produce the same surviving entries in the same order,
 //! the same removal counts, and the same incremental totals.
+//!
+//! The indexed log stores function ids; a [`FnTable`] maps the reference
+//! model's names to them, and the byte totals are recomputed from names
+//! and payloads with the runtime's sizing formula.
 
 use proptest::prelude::*;
 
-use vampos_core::{FunctionLog, LogEntry};
-use vampos_ukernel::{SessionEvent, TouchSynthesis, Value};
+use vampos_core::funclog::{downcall_bytes, entry_bytes};
+use vampos_core::symbols::{FnTable, COMPACTOR};
+use vampos_core::{Call, Caller, Compaction, FunctionLog, LogEntry};
+use vampos_ukernel::{names, SessionEvent, TouchSynthesis, Value};
 
 /// The original, unindexed shrinking algorithm, kept as an executable spec.
 #[derive(Default)]
@@ -172,43 +178,109 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn apply(log: &mut FunctionLog, naive: &mut NaiveLog, op: &Op, shrinking: bool) {
-    let simple = |log: &mut FunctionLog, func: &str, ev: SessionEvent| {
-        log.append("app", func, &[], &Value::Unit, Vec::new(), ev, shrinking)
-    };
+/// The indexed log under test and the table its function ids index.
+#[derive(Default)]
+struct Indexed {
+    log: FunctionLog,
+    fns: FnTable,
+}
+
+impl Indexed {
+    /// Logs an application call to `func`; touches carry a payload so the
+    /// byte accounting has something to track.
+    fn append(&mut self, func: &str, ev: SessionEvent, shrinking: bool) -> usize {
+        let args = match ev {
+            SessionEvent::Touch(s) => vec![Value::U64(s), Value::Bytes(vec![0; s as usize])],
+            _ => Vec::new(),
+        };
+        let args_bytes = args.iter().map(Value::byte_len).sum();
+        let call = Call {
+            caller: Caller::App,
+            func: self.fns.resolve(func),
+            args: &args,
+            ret: &Value::Unit,
+            downcalls: Vec::new(),
+            bytes: entry_bytes(names::APP, func, args_bytes, Value::Unit.byte_len(), 0),
+        };
+        self.log.append(call, ev, shrinking).removed
+    }
+
+    /// Applies the component's compaction decision the way the runtime
+    /// does: the synthetic function resolved, the summary entry sized.
+    fn compact_session(&mut self, session: u64, decision: TouchSynthesis) -> usize {
+        let decision = match decision {
+            TouchSynthesis::Keep => Compaction::Keep,
+            TouchSynthesis::Drop => Compaction::Drop,
+            TouchSynthesis::Replace { func, args, ret } => {
+                let args_bytes = args.iter().map(Value::byte_len).sum();
+                Compaction::Replace {
+                    func: self.fns.resolve(&func),
+                    bytes: entry_bytes(COMPACTOR, &func, args_bytes, ret.byte_len(), 0),
+                    args,
+                    ret,
+                }
+            }
+        };
+        self.log.compact_session(session, decision)
+    }
+
+    /// [`LogEntry::byte_len`] recomputed from names and payloads.
+    fn recomputed_bytes(&self, e: &LogEntry) -> usize {
+        let caller = match e.caller {
+            Caller::App => names::APP,
+            Caller::Compactor => COMPACTOR,
+            Caller::Component(_) => unreachable!("the workload logs app calls only"),
+        };
+        let args = e.args.iter().map(Value::byte_len).sum();
+        let downcalls = e
+            .downcalls
+            .iter()
+            .map(|d| downcall_bytes(self.fns.name(d.func), &d.ret))
+            .sum();
+        entry_bytes(
+            caller,
+            self.fns.name(e.func),
+            args,
+            e.ret.byte_len(),
+            downcalls,
+        )
+    }
+}
+
+fn apply(indexed: &mut Indexed, naive: &mut NaiveLog, op: &Op, shrinking: bool) {
     match op {
         Op::Free => {
-            let out = simple(log, "free", SessionEvent::None);
+            let out = indexed.append("free", SessionEvent::None, shrinking);
             let removed = naive.append("free", &SessionEvent::None, shrinking);
-            assert_eq!(out.removed, removed);
+            assert_eq!(out, removed);
         }
         Op::Open(ss) => {
             let ev = SessionEvent::Open(ss.clone());
-            let out = simple(log, "open", ev.clone());
+            let out = indexed.append("open", ev.clone(), shrinking);
             let removed = naive.append("open", &ev, shrinking);
-            assert_eq!(out.removed, removed);
+            assert_eq!(out, removed);
         }
         Op::Touch(s) => {
             let ev = SessionEvent::Touch(*s);
-            let out = simple(log, "touch", ev.clone());
+            let out = indexed.append("touch", ev.clone(), shrinking);
             let removed = naive.append("touch", &ev, shrinking);
-            assert_eq!(out.removed, removed);
+            assert_eq!(out, removed);
         }
         Op::Close(ss) => {
             let ev = SessionEvent::Close(ss.clone());
-            let out = simple(log, "close", ev.clone());
+            let out = indexed.append("close", ev.clone(), shrinking);
             let removed = naive.append("close", &ev, shrinking);
-            assert_eq!(out.removed, removed, "close({ss:?}) removal mismatch");
+            assert_eq!(out, removed, "close({ss:?}) removal mismatch");
         }
         Op::CompactKeep(s) => {
             assert_eq!(
-                log.compact_session(*s, TouchSynthesis::Keep),
+                indexed.compact_session(*s, TouchSynthesis::Keep),
                 naive.compact_session(*s, &TouchSynthesis::Keep)
             );
         }
         Op::CompactDrop(s) => {
             assert_eq!(
-                log.compact_session(*s, TouchSynthesis::Drop),
+                indexed.compact_session(*s, TouchSynthesis::Drop),
                 naive.compact_session(*s, &TouchSynthesis::Drop)
             );
         }
@@ -224,17 +296,18 @@ fn apply(log: &mut FunctionLog, naive: &mut NaiveLog, op: &Op, shrinking: bool) 
                 ret: Value::Unit,
             };
             assert_eq!(
-                log.compact_session(*s, decision),
+                indexed.compact_session(*s, decision),
                 naive.compact_session(*s, &naive_decision)
             );
         }
     }
 }
 
-fn assert_same_state(log: &FunctionLog, naive: &NaiveLog) {
+fn assert_same_state(indexed: &Indexed, naive: &NaiveLog) {
+    let log = &indexed.log;
     let got: Vec<(u64, &str, bool)> = log
         .iter()
-        .map(|e| (e.seq, e.func.as_str(), e.synthetic))
+        .map(|e| (e.seq, indexed.fns.name(e.func), e.synthetic))
         .collect();
     let want: Vec<(u64, &str, bool)> = naive
         .entries
@@ -245,7 +318,11 @@ fn assert_same_state(log: &FunctionLog, naive: &NaiveLog) {
     assert_eq!(log.len(), naive.entries.len());
     assert_eq!(log.removed_total(), naive.removed_total);
     assert_eq!(log.touched_sessions(), naive.touched_sessions());
-    // The incremental totals must equal a from-scratch recomputation.
+    // The incremental totals must equal a from-scratch recomputation, and
+    // each entry's cached size its recomputation from names and payloads.
+    for e in log.iter() {
+        assert_eq!(e.byte_len(), indexed.recomputed_bytes(e), "entry {}", e.seq);
+    }
     let bytes: usize = log.iter().map(LogEntry::byte_len).sum();
     let records: usize = log.iter().map(LogEntry::record_count).sum();
     assert_eq!(log.byte_len(), bytes, "incremental byte_len drifted");
@@ -268,11 +345,11 @@ proptest! {
     fn indexed_log_matches_naive_reference(
         ops in proptest::collection::vec(op_strategy(), 1..120)
     ) {
-        let mut log = FunctionLog::new();
+        let mut indexed = Indexed::default();
         let mut naive = NaiveLog::default();
         for op in &ops {
-            apply(&mut log, &mut naive, op, true);
-            assert_same_state(&log, &naive);
+            apply(&mut indexed, &mut naive, op, true);
+            assert_same_state(&indexed, &naive);
         }
     }
 
@@ -281,12 +358,12 @@ proptest! {
     fn unshrunk_log_matches_naive_reference(
         ops in proptest::collection::vec(op_strategy(), 1..60)
     ) {
-        let mut log = FunctionLog::new();
+        let mut indexed = Indexed::default();
         let mut naive = NaiveLog::default();
         for op in &ops {
             // Compactions still apply; only close-shrinking is disabled.
-            apply(&mut log, &mut naive, op, false);
-            assert_same_state(&log, &naive);
+            apply(&mut indexed, &mut naive, op, false);
+            assert_same_state(&indexed, &naive);
         }
     }
 }

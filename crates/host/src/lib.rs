@@ -27,7 +27,7 @@ pub mod ninep;
 pub mod virtio;
 pub mod world;
 
-pub use netpeer::{ClientConnId, ClientConnState, Frame, HostNetwork, TcpFlags};
+pub use netpeer::{take_front, ClientConnId, ClientConnState, Frame, HostNetwork, TcpFlags};
 pub use ninep::{Fid, NinePError, NinePGlitch, NinePRequest, NinePResponse, NinePServer, Qid};
 pub use virtio::{Descriptor, RingGlitch, VirtQueue, VirtQueueError};
 pub use world::{HostHandle, HostWorld};

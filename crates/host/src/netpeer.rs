@@ -274,7 +274,8 @@ impl HostNetwork {
             .conns
             .get_mut(&id)
             .ok_or(NetPeerError::UnknownConn(id))?;
-        Ok(conn.recv_buf.drain(..).collect())
+        let len = conn.recv_buf.len();
+        Ok(take_front(&mut conn.recv_buf, len))
     }
 
     /// Starts an orderly close (sends FIN).
@@ -472,9 +473,39 @@ impl HostNetwork {
     }
 }
 
+/// Removes the first `n` bytes of `buf` (at most its length) and returns
+/// them, copying the ring's two contiguous halves instead of moving the
+/// bytes one at a time.
+pub fn take_front(buf: &mut VecDeque<u8>, n: usize) -> Vec<u8> {
+    let n = n.min(buf.len());
+    let (head, tail) = buf.as_slices();
+    let from_head = n.min(head.len());
+    let mut out = Vec::with_capacity(n);
+    out.extend_from_slice(&head[..from_head]);
+    out.extend_from_slice(&tail[..n - from_head]);
+    buf.drain(..n);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn take_front_matches_a_bytewise_drain_across_the_ring_wrap() {
+        for n in [0, 1, 5, 8, 11, 40] {
+            // A ring whose contents wrap: fill, consume the front, refill.
+            let mut buf: VecDeque<u8> = VecDeque::with_capacity(16);
+            buf.extend(0..12u8);
+            buf.drain(..7);
+            buf.extend(100..107u8);
+            assert!(!buf.as_slices().1.is_empty(), "contents wrap");
+            let mut reference = buf.clone();
+            let want: Vec<u8> = reference.drain(..n.min(reference.len())).collect();
+            assert_eq!(take_front(&mut buf, n), want, "n = {n}");
+            assert_eq!(buf, reference, "n = {n}");
+        }
+    }
 
     /// Simulate the guest side of a handshake by hand.
     fn complete_handshake(net: &mut HostNetwork, id: ClientConnId) -> (u16, u32, u32) {

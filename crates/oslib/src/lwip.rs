@@ -576,8 +576,7 @@ impl Component for Lwip {
                     return Err(OsError::WouldBlock);
                 }
                 let n = (max as usize).min(sock.recv_buf.len());
-                let bytes: Vec<u8> = sock.recv_buf.drain(..n).collect();
-                Ok(Value::Bytes(bytes))
+                Ok(Value::Bytes(vampos_host::take_front(&mut sock.recv_buf, n)))
             }
             f::SEND => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;

@@ -461,7 +461,7 @@ impl Vfs {
                     return Err(OsError::WouldBlock);
                 }
                 let n = (max as usize).min(buf.len());
-                return Ok(buf.drain(..n).collect());
+                return Ok(vampos_host::take_front(buf, n));
             }
             FdKind::PipeWrite { .. } => return Err(OsError::BadFd),
         };
