@@ -2,10 +2,12 @@
 # Regenerates the byte-identity goldens kept in baselines/golden/: the
 # report and Prometheus metrics of the N=16 fleet run and of the mesh
 # reboot run (seed 42), plus the sha256 of each run's Perfetto trace (the
-# traces themselves are tens of megabytes).
+# traces themselves are tens of megabytes), and the quick sequential
+# `repro all` output (the paper's Fig. 5-8 and Tables III-V in virtual time).
 #
 # Usage: baselines/regen-golden.sh BIN_DIR OUT_DIR
-#   BIN_DIR  directory holding release builds of vampos-fleet and vampos-mesh
+#   BIN_DIR  directory holding release builds of vampos-fleet, vampos-mesh
+#            and repro
 #   OUT_DIR  where to write the outputs (created if missing)
 #
 # A change that must not move virtual time leaves every file identical:
@@ -21,3 +23,4 @@ cd "$2"
   --trace-out mesh-reboot.trace.json --metrics-out mesh-reboot.prom > mesh-reboot.txt
 sha256sum fleet-n16.trace.json mesh-reboot.trace.json > traces.sha256
 rm fleet-n16.trace.json mesh-reboot.trace.json
+"$bin/repro" all --quick --sequential > repro-quick.txt

@@ -7,8 +7,9 @@
 //! long-lived TCP connections and their in-flight requests.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use vampos_core::System;
+use vampos_core::{PollSet, System};
 use vampos_oslib::OpenFlags;
 use vampos_ukernel::OsError;
 
@@ -28,6 +29,23 @@ struct CachedFile {
     size: u64,
 }
 
+/// Buffers the server reuses from request to request, so a steady-state
+/// GET allocates nothing in the application. None of it is server state:
+/// each is cleared before use.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Readiness query: the listener plus every open connection.
+    poll: PollSet,
+    /// Connections to service this poll, in ascending fd order.
+    conn_fds: Vec<u64>,
+    /// `doc_root` + request path.
+    path: String,
+    /// The response header.
+    header: String,
+    /// The response body, read from the file.
+    body: Vec<u8>,
+}
+
 /// The HTTP server.
 #[derive(Debug)]
 pub struct MiniHttpd {
@@ -42,6 +60,7 @@ pub struct MiniHttpd {
     file_cache: BTreeMap<String, CachedFile>,
     served: u64,
     not_found: u64,
+    scratch: Scratch,
 }
 
 impl Default for MiniHttpd {
@@ -60,6 +79,7 @@ impl MiniHttpd {
             file_cache: BTreeMap::new(),
             served: 0,
             not_found: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -79,10 +99,13 @@ impl MiniHttpd {
     }
 
     fn respond(&mut self, sys: &mut System, conn: u64, path: &str) -> Result<(), OsError> {
-        let full = format!("{}{}", self.doc_root, path);
-        let cached = match self.file_cache.get(&full) {
+        let full = &mut self.scratch.path;
+        full.clear();
+        full.push_str(&self.doc_root);
+        full.push_str(path);
+        let cached = match self.file_cache.get(full.as_str()) {
             Some(&c) => Ok(c),
-            None => match sys.os().open(&full, OpenFlags::RDONLY) {
+            None => match sys.os().open(full, OpenFlags::RDONLY) {
                 Ok(fd) => {
                     let size = sys.os().fstat(fd)?;
                     let c = CachedFile { fd, size };
@@ -94,12 +117,17 @@ impl MiniHttpd {
         };
         match cached {
             Ok(CachedFile { fd, size }) => {
-                let body = sys.os().pread(fd, size, 0)?;
-                let header = format!(
+                let Scratch { header, body, .. } = &mut self.scratch;
+                body.clear();
+                sys.os().pread_into(fd, size, 0, body)?;
+                header.clear();
+                write!(
+                    header,
                     "HTTP/1.1 200 OK\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
                     body.len()
-                );
-                sys.os().writev(conn, &[header.as_bytes(), &body])?;
+                )
+                .expect("writing to a String cannot fail");
+                sys.os().writev(conn, &[header.as_bytes(), body])?;
                 self.served += 1;
             }
             Err(OsError::NotFound) => {
@@ -112,21 +140,38 @@ impl MiniHttpd {
         Ok(())
     }
 
-    /// Extracts complete `GET <path> ...\r\n\r\n` requests from `buf`,
-    /// returning the request paths.
-    fn parse_requests(buf: &mut Vec<u8>) -> Vec<String> {
-        let mut paths = Vec::new();
-        while let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4) {
-            let request: Vec<u8> = buf.drain(..end).collect();
-            let text = String::from_utf8_lossy(&request);
+    /// Answers every complete `GET <path> ...\r\n\r\n` request at the front
+    /// of `buf`, in order, then removes them from the buffer — all of them,
+    /// even when an answer fails (the error is returned after the rest are
+    /// skipped). Returns the requests answered.
+    fn serve_requests(
+        &mut self,
+        sys: &mut System,
+        conn: u64,
+        buf: &mut Vec<u8>,
+    ) -> Result<usize, OsError> {
+        let mut consumed = 0;
+        let mut served = 0;
+        let mut outcome = Ok(());
+        while let Some(end) = buf[consumed..].windows(4).position(|w| w == b"\r\n\r\n") {
+            let request = &buf[consumed..consumed + end + 4];
+            consumed += end + 4;
+            if outcome.is_err() {
+                continue;
+            }
+            let text = String::from_utf8_lossy(request);
             let mut parts = text.split_whitespace();
             if parts.next() == Some("GET") {
                 if let Some(path) = parts.next() {
-                    paths.push(path.to_owned());
+                    match self.respond(sys, conn, path) {
+                        Ok(()) => served += 1,
+                        Err(e) => outcome = Err(e),
+                    }
                 }
             }
         }
-        paths
+        buf.drain(..consumed);
+        outcome.map(|()| served)
     }
 }
 
@@ -152,50 +197,49 @@ impl App for MiniHttpd {
 
     fn poll(&mut self, sys: &mut System) -> Result<usize, OsError> {
         let listen_fd = self.listen_fd.ok_or(OsError::NotConnected)?;
-        let mut watched = Vec::with_capacity(self.conns.len() + 1);
-        watched.push(listen_fd);
-        watched.extend(self.conns.keys());
-        let ready = sys.os().poll_ready(&watched)?;
+        let set = &mut self.scratch.poll;
+        set.clear();
+        set.watch(listen_fd);
+        for &conn in self.conns.keys() {
+            set.watch(conn);
+        }
+        sys.os().poll(set)?;
+        // Ready connections plus the fresh accepts below, in ascending fd
+        // order — the order the old full-table scan serviced them in, at
+        // O(ready) instead of O(connections²).
+        let mut conn_fds = std::mem::take(&mut self.scratch.conn_fds);
+        conn_fds.clear();
+        conn_fds.extend(set.ready().iter().copied().filter(|&fd| fd != listen_fd));
         // Connections accepted below joined after the readiness query ran,
         // so they are serviced unconditionally this poll.
-        let mut fresh = Vec::new();
-        if ready.contains(&listen_fd) {
+        if set.ready().contains(&listen_fd) {
             loop {
                 match sys.os().accept(listen_fd) {
                     Ok(conn) => {
                         self.conns.insert(conn, ConnState::default());
-                        fresh.push(conn);
+                        conn_fds.push(conn);
                     }
                     Err(OsError::WouldBlock) => break,
                     Err(e) => return Err(e),
                 }
             }
         }
-        let mut served = 0usize;
-        // Ready connections plus the fresh accepts, in ascending fd order —
-        // the order the old full-table scan serviced them in, at O(ready)
-        // instead of O(connections²).
-        let mut conn_fds: Vec<u64> = ready
-            .iter()
-            .copied()
-            .filter(|&fd| fd != listen_fd)
-            .collect();
-        conn_fds.extend(fresh);
         conn_fds.sort_unstable();
-        for conn in conn_fds {
-            match sys.os().recv(conn, 64 << 10) {
-                Ok(data) if data.is_empty() => {
+        let mut served = 0usize;
+        for &conn in &conn_fds {
+            let state = self.conns.get_mut(&conn).expect("tracked");
+            match sys.os().recv_into(conn, 64 << 10, &mut state.buf) {
+                Ok(0) => {
                     sys.os().close(conn)?;
                     self.conns.remove(&conn);
                 }
-                Ok(data) => {
-                    let state = self.conns.get_mut(&conn).expect("tracked");
-                    state.buf.extend_from_slice(&data);
-                    let paths = Self::parse_requests(&mut state.buf);
-                    for path in paths {
-                        self.respond(sys, conn, &path)?;
-                        served += 1;
-                    }
+                Ok(_) => {
+                    // Lend the buffer out while the requests in it are
+                    // answered; it goes back whatever the outcome.
+                    let mut buf = std::mem::take(&mut state.buf);
+                    let outcome = self.serve_requests(sys, conn, &mut buf);
+                    self.conns.get_mut(&conn).expect("tracked").buf = buf;
+                    served += outcome?;
                 }
                 Err(OsError::WouldBlock) => {}
                 Err(OsError::ConnReset) => {
@@ -205,6 +249,7 @@ impl App for MiniHttpd {
                 Err(e) => return Err(e),
             }
         }
+        self.scratch.conn_fds = conn_fds;
         Ok(served)
     }
 

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use vampos_core::System;
+use vampos_core::{PollSet, System};
 use vampos_oslib::OpenFlags;
 use vampos_ukernel::OsError;
 
@@ -42,6 +42,19 @@ pub struct MiniKv {
     conns: BTreeMap<u64, ConnState>,
     commands: u64,
     aof_records_replayed: u64,
+    scratch: Scratch,
+}
+
+/// Buffers the server reuses from poll to poll (cleared before use; not
+/// server state).
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Readiness query: the listener plus every open connection.
+    poll: PollSet,
+    /// Connections to service this poll, in ascending fd order.
+    conn_fds: Vec<u64>,
+    /// The reply to the command being answered.
+    reply: Vec<u8>,
 }
 
 impl MiniKv {
@@ -55,6 +68,7 @@ impl MiniKv {
             conns: BTreeMap::new(),
             commands: 0,
             aof_records_replayed: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -194,10 +208,18 @@ impl MiniKv {
         Ok(())
     }
 
-    fn execute(&mut self, sys: &mut System, line: &[u8]) -> Result<Vec<u8>, OsError> {
+    /// Executes one command line, writing its reply into `reply`.
+    fn execute(
+        &mut self,
+        sys: &mut System,
+        line: &[u8],
+        reply: &mut Vec<u8>,
+    ) -> Result<(), OsError> {
         self.commands += 1;
+        reply.clear();
         if line == b"PING" {
-            return Ok(b"+PONG\n".to_vec());
+            reply.extend_from_slice(b"+PONG\n");
+            return Ok(());
         }
         if let Some(rest) = line.strip_prefix(b"SET ".as_slice()) {
             if let Some(space) = rest.iter().position(|&b| b == b' ') {
@@ -207,35 +229,66 @@ impl MiniKv {
                     self.append_aof(sys, &key, &value)?;
                 }
                 self.store.insert(key, value);
-                return Ok(b"+OK\n".to_vec());
+                reply.extend_from_slice(b"+OK\n");
+                return Ok(());
             }
-            return Ok(b"-ERR wrong number of arguments\n".to_vec());
+            reply.extend_from_slice(b"-ERR wrong number of arguments\n");
+            return Ok(());
         }
         if let Some(key) = line.strip_prefix(b"GET ".as_slice()) {
-            let key = String::from_utf8_lossy(key).into_owned();
-            return Ok(match self.store.get(&key) {
+            match self.store.get(&*String::from_utf8_lossy(key)) {
                 Some(value) => {
-                    let mut resp = Vec::with_capacity(value.len() + 2);
-                    resp.push(b'$');
-                    resp.extend_from_slice(value);
-                    resp.push(b'\n');
-                    resp
+                    reply.push(b'$');
+                    reply.extend_from_slice(value);
+                    reply.push(b'\n');
                 }
-                None => b"$-1\n".to_vec(),
-            });
+                None => reply.extend_from_slice(b"$-1\n"),
+            }
+            return Ok(());
         }
         if let Some(key) = line.strip_prefix(b"DEL ".as_slice()) {
-            let key = String::from_utf8_lossy(key).into_owned();
+            let key = String::from_utf8_lossy(key);
             if self.aof_enabled {
                 self.append_aof_del(sys, &key)?;
             }
-            return Ok(if self.store.remove(&key).is_some() {
-                b":1\n".to_vec()
-            } else {
-                b":0\n".to_vec()
-            });
+            let removed = self.store.remove(&*key).is_some();
+            reply.extend_from_slice(if removed { b":1\n" } else { b":0\n" });
+            return Ok(());
         }
-        Ok(b"-ERR unknown command\n".to_vec())
+        reply.extend_from_slice(b"-ERR unknown command\n");
+        Ok(())
+    }
+
+    /// Answers every complete command line at the front of `buf`, in
+    /// order, then removes them from the buffer — all of them, even when an
+    /// answer fails (the error is returned after the rest are skipped).
+    /// Returns the commands answered.
+    fn serve_lines(
+        &mut self,
+        sys: &mut System,
+        conn: u64,
+        buf: &mut Vec<u8>,
+    ) -> Result<usize, OsError> {
+        let mut reply = std::mem::take(&mut self.scratch.reply);
+        let mut consumed = 0;
+        let mut served = 0;
+        let mut outcome = Ok(());
+        while let Some(pos) = buf[consumed..].iter().position(|&b| b == b'\n') {
+            let line = &buf[consumed..consumed + pos];
+            consumed += pos + 1;
+            if outcome.is_err() {
+                continue;
+            }
+            outcome = self
+                .execute(sys, line, &mut reply)
+                .and_then(|()| sys.os().send(conn, &reply).map(drop));
+            if outcome.is_ok() {
+                served += 1;
+            }
+        }
+        buf.drain(..consumed);
+        self.scratch.reply = reply;
+        outcome.map(|()| served)
     }
 }
 
@@ -274,50 +327,46 @@ impl App for MiniKv {
 
     fn poll(&mut self, sys: &mut System) -> Result<usize, OsError> {
         let listen_fd = self.listen_fd.ok_or(OsError::NotConnected)?;
-        let mut watched = vec![listen_fd];
-        watched.extend(self.conns.keys());
-        let ready = sys.os().poll_ready(&watched)?;
-        if ready.contains(&listen_fd) {
+        let set = &mut self.scratch.poll;
+        set.clear();
+        set.watch(listen_fd);
+        for &conn in self.conns.keys() {
+            set.watch(conn);
+        }
+        sys.os().poll(set)?;
+        // Ready connections plus the fresh accepts below (not yet watched,
+        // so serviced unconditionally), in ascending fd order.
+        let mut conn_fds = std::mem::take(&mut self.scratch.conn_fds);
+        conn_fds.clear();
+        conn_fds.extend(set.ready().iter().copied().filter(|&fd| fd != listen_fd));
+        if set.ready().contains(&listen_fd) {
             loop {
                 match sys.os().accept(listen_fd) {
                     Ok(conn) => {
                         self.conns.insert(conn, ConnState::default());
+                        conn_fds.push(conn);
                     }
                     Err(OsError::WouldBlock) => break,
                     Err(e) => return Err(e),
                 }
             }
         }
+        conn_fds.sort_unstable();
         let mut served = 0usize;
-        let conn_fds: Vec<u64> = self
-            .conns
-            .keys()
-            .copied()
-            .filter(|fd| ready.contains(fd) || !watched.contains(fd))
-            .collect();
-        for conn in conn_fds {
-            match sys.os().recv(conn, 64 << 10) {
-                Ok(data) if data.is_empty() => {
+        for &conn in &conn_fds {
+            let state = self.conns.get_mut(&conn).expect("tracked");
+            match sys.os().recv_into(conn, 64 << 10, &mut state.buf) {
+                Ok(0) => {
                     sys.os().close(conn)?;
                     self.conns.remove(&conn);
                 }
-                Ok(data) => {
-                    let buf = {
-                        let state = self.conns.get_mut(&conn).expect("tracked");
-                        state.buf.extend_from_slice(&data);
-                        &mut state.buf
-                    };
-                    // Extract complete lines.
-                    let mut lines = Vec::new();
-                    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                        let line: Vec<u8> = buf.drain(..=pos).collect();
-                        lines.push(line[..line.len() - 1].to_vec());
-                    }
-                    for line in lines {
-                        let resp = self.execute(sys, &line)?;
-                        sys.os().send(conn, &resp)?;
-                        served += 1;
-                    }
+                Ok(_) => {
+                    // Lend the buffer out while its lines are answered; it
+                    // goes back whatever the outcome.
+                    let mut buf = std::mem::take(&mut state.buf);
+                    let outcome = self.serve_lines(sys, conn, &mut buf);
+                    self.conns.get_mut(&conn).expect("tracked").buf = buf;
+                    served += outcome?;
                 }
                 Err(OsError::WouldBlock) => {}
                 Err(OsError::ConnReset) => {
@@ -327,6 +376,7 @@ impl App for MiniKv {
                 Err(e) => return Err(e),
             }
         }
+        self.scratch.conn_fds = conn_fds;
         Ok(served)
     }
 

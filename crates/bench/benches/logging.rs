@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use vampos_core::funclog::entry_bytes;
 use vampos_core::{Call, Caller, Compaction, FnId, FunctionLog};
-use vampos_ukernel::{SessionEvent, Value};
+use vampos_ukernel::{Payload, SessionEvent, Value};
 
 /// The benched functions, as ids into a notional VFS function table.
 const FUNCS: [&str; 4] = ["open", "write", "close", "vfs_set_offset"];
@@ -61,7 +61,7 @@ fn filled_log(sessions: u64, touches_per_session: usize) -> FunctionLog {
             append(
                 &mut log,
                 "write",
-                &[Value::U64(s), Value::Bytes(vec![0; 64])],
+                &[Value::U64(s), Value::Bytes(Payload::from(&[0; 64]))],
                 &Value::U64(64),
                 SessionEvent::Touch(s),
             );
@@ -79,7 +79,7 @@ fn bench_logging(c: &mut Criterion) {
             append(
                 &mut log,
                 "write",
-                &[Value::U64(0), Value::Bytes(vec![0; 64])],
+                &[Value::U64(0), Value::Bytes(Payload::from(&[0; 64]))],
                 &Value::U64(64),
                 SessionEvent::Touch(0),
             )
@@ -123,7 +123,7 @@ fn bench_logging(c: &mut Criterion) {
                     append(
                         &mut log,
                         "write",
-                        &[Value::U64(0), Value::Bytes(vec![0; 64])],
+                        &[Value::U64(0), Value::Bytes(Payload::from(&[0; 64]))],
                         &Value::U64(64),
                         SessionEvent::Touch(0),
                     )

@@ -38,6 +38,8 @@
 //! `Open` entry's live-session set).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use vampos_ukernel::{OsError, SessionEvent, Value};
@@ -80,6 +82,70 @@ pub fn entry_bytes(
     64 + func_name.len() + caller_name.len() + args_bytes + ret_bytes + downcalls_bytes
 }
 
+/// Arguments a [`LogArgs`] stores inside the entry itself. Every logged
+/// call on the request path takes at most this many.
+pub const INLINE_ARGS: usize = 3;
+
+/// A logged call's marshalled arguments. Up to [`INLINE_ARGS`] live inline
+/// in the entry, so logging a call allocates no argument vector; longer
+/// lists spill to a `Vec`. Byte payloads inside are shared with the
+/// caller, not copied. Derefs to `[Value]`; equality and `Debug` are those
+/// of the slice.
+#[derive(Clone)]
+pub struct LogArgs(ArgStore);
+
+#[derive(Clone)]
+enum ArgStore {
+    Inline { len: u8, vals: [Value; INLINE_ARGS] },
+    Spilled(Vec<Value>),
+}
+
+impl LogArgs {
+    /// Clones `args` into the log (reference-count bumps for payloads).
+    pub fn from_slice(args: &[Value]) -> LogArgs {
+        if args.len() > INLINE_ARGS {
+            return LogArgs(ArgStore::Spilled(args.to_vec()));
+        }
+        let mut vals: [Value; INLINE_ARGS] = Default::default();
+        for (slot, arg) in vals.iter_mut().zip(args) {
+            *slot = arg.clone();
+        }
+        LogArgs(ArgStore::Inline {
+            len: args.len() as u8,
+            vals,
+        })
+    }
+}
+
+impl From<Vec<Value>> for LogArgs {
+    fn from(args: Vec<Value>) -> LogArgs {
+        LogArgs(ArgStore::Spilled(args))
+    }
+}
+
+impl Deref for LogArgs {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        match &self.0 {
+            ArgStore::Inline { len, vals } => &vals[..usize::from(*len)],
+            ArgStore::Spilled(vals) => vals,
+        }
+    }
+}
+
+impl PartialEq for LogArgs {
+    fn eq(&self, other: &LogArgs) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for LogArgs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// Session classification stored with an entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EntryTag {
@@ -112,7 +178,7 @@ pub struct LogEntry {
     /// Invoked function (an id in the logging component's table).
     pub func: FnId,
     /// Marshalled arguments.
-    pub args: Vec<Value>,
+    pub args: LogArgs,
     /// The value the call returned.
     pub ret: Value,
     /// Downcall return values recorded during the call.
@@ -146,7 +212,8 @@ pub struct Call<'a> {
     pub caller: Caller,
     /// Invoked function.
     pub func: FnId,
-    /// Marshalled arguments (copied only if the entry is kept).
+    /// Marshalled arguments (cloned, sharing their payloads, only if the
+    /// entry is kept).
     pub args: &'a [Value],
     /// The value the call returned.
     pub ret: &'a Value,
@@ -427,7 +494,7 @@ impl FunctionLog {
             seq: self.next_seq,
             caller: call.caller,
             func: call.func,
-            args: call.args.to_vec(),
+            args: LogArgs::from_slice(call.args),
             ret: call.ret.clone(),
             downcalls: call.downcalls,
             tag,
@@ -547,7 +614,7 @@ impl FunctionLog {
                             seq: self.next_seq,
                             caller: Caller::Compactor,
                             func,
-                            args,
+                            args: LogArgs::from(args),
                             ret,
                             downcalls: Vec::new(),
                             tag: EntryTag::Touch(session),
@@ -582,7 +649,7 @@ fn distinct(sessions: &[u64]) -> impl Iterator<Item = u64> + '_ {
 mod tests {
     use super::*;
     use crate::symbols::FnTable;
-    use vampos_ukernel::names;
+    use vampos_ukernel::{names, Payload};
 
     /// A log plus the function table its ids index, so tests read in names.
     #[derive(Default)]
@@ -771,7 +838,7 @@ mod tests {
         let mut log = Named::default();
         log.append_with(
             "write",
-            &[Value::U64(3), Value::Bytes(vec![0; 1000])],
+            &[Value::U64(3), Value::Bytes(Payload::from(&[0; 1000]))],
             &Value::U64(1000),
             Vec::new(),
             SessionEvent::Touch(3),
@@ -887,7 +954,7 @@ mod tests {
             for _ in 0..4 {
                 log.append_with(
                     "write",
-                    &[Value::U64(s), Value::Bytes(vec![0; 32])],
+                    &[Value::U64(s), Value::Bytes(Payload::from(&[0; 32]))],
                     &Value::U64(32),
                     Vec::new(),
                     SessionEvent::Touch(s),

@@ -45,8 +45,8 @@ pub mod symbols;
 pub use analysis::{analyze_configuration, describe_component_set};
 pub use config::{ComponentSet, Mode, SchedulerKind, VampConfig};
 pub use faults::{FaultKind, InjectedFault};
-pub use funclog::{Call, Compaction, DownRec, FunctionLog, LogEntry};
-pub use os::{Os, Whence};
+pub use funclog::{Call, Compaction, DownRec, FunctionLog, LogArgs, LogEntry};
+pub use os::{Os, PollSet, Whence};
 pub use reboot::{FullRebootOutcome, RebootOutcome};
 pub use resilience::AgingEntry;
 pub use runtime::{MemoryReport, System, SystemBuilder};

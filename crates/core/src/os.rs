@@ -32,6 +32,54 @@ impl Whence {
     }
 }
 
+/// Buffers a server keeps across [`Os::poll`] calls: the watched fds,
+/// already marshalled as the readiness query, and the ready fds the last
+/// poll found. Reusing one makes a readiness query allocate only the
+/// kernel's reply.
+///
+/// # Example
+///
+/// ```
+/// use vampos_core::{ComponentSet, Mode, PollSet, System};
+///
+/// let mut sys = System::builder()
+///     .mode(Mode::vampos_das())
+///     .components(ComponentSet::nginx())
+///     .build()?;
+/// let listener = sys.os().socket()?;
+/// sys.os().bind(listener, 80)?;
+/// sys.os().listen(listener, 8)?;
+/// let mut set = PollSet::default();
+/// set.watch(listener);
+/// sys.os().poll(&mut set)?;
+/// assert!(set.ready().is_empty()); // no connection queued yet
+/// # Ok::<(), vampos_ukernel::OsError>(())
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct PollSet {
+    query: Vec<Value>,
+    ready: Vec<u64>,
+}
+
+impl PollSet {
+    /// Forgets the watched and ready fds, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.query.clear();
+        self.ready.clear();
+    }
+
+    /// Adds `fd` to the watched set.
+    pub fn watch(&mut self, fd: u64) {
+        self.query.push(Value::U64(fd));
+    }
+
+    /// The watched fds the last [`Os::poll`] found ready, in the order the
+    /// kernel reported them.
+    pub fn ready(&self) -> &[u64] {
+        &self.ready
+    }
+}
+
 /// The syscall surface of a [`System`].
 ///
 /// Obtained from [`System::os`]; borrows the system mutably for the duration
@@ -80,11 +128,23 @@ impl<'a> Os<'a> {
     ///
     /// `BadFd`, `WouldBlock` (sockets/pipes with no data), transport errors.
     pub fn read(&mut self, fd: u64, max: u64) -> Result<Vec<u8>, OsError> {
-        Ok(self
+        let mut buf = Vec::new();
+        self.read_into(fd, max, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`Os::read`] into the caller's buffer: appends the bytes read to
+    /// `buf` and returns their count. This is the one copy into the
+    /// application's memory; a reused `buf` with room allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`Os::read`].
+    pub fn read_into(&mut self, fd: u64, max: u64, buf: &mut Vec<u8>) -> Result<usize, OsError> {
+        let v = self
             .sys
-            .syscall(names::VFS, vf::READ, &[Value::U64(fd), Value::U64(max)])?
-            .as_bytes()?
-            .to_vec())
+            .syscall(names::VFS, vf::READ, &[Value::U64(fd), Value::U64(max)])?;
+        append_bytes(&v, buf)
     }
 
     /// Positional read; the fd offset is unchanged.
@@ -93,15 +153,29 @@ impl<'a> Os<'a> {
     ///
     /// As [`Os::read`].
     pub fn pread(&mut self, fd: u64, max: u64, offset: u64) -> Result<Vec<u8>, OsError> {
-        Ok(self
-            .sys
-            .syscall(
-                names::VFS,
-                vf::PREAD,
-                &[Value::U64(fd), Value::U64(max), Value::U64(offset)],
-            )?
-            .as_bytes()?
-            .to_vec())
+        let mut buf = Vec::new();
+        self.pread_into(fd, max, offset, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// [`Os::pread`] into the caller's buffer (see [`Os::read_into`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Os::read`].
+    pub fn pread_into(
+        &mut self,
+        fd: u64,
+        max: u64,
+        offset: u64,
+        buf: &mut Vec<u8>,
+    ) -> Result<usize, OsError> {
+        let v = self.sys.syscall(
+            names::VFS,
+            vf::PREAD,
+            &[Value::U64(fd), Value::U64(max), Value::U64(offset)],
+        )?;
+        append_bytes(&v, buf)
     }
 
     /// Writes at the fd's offset; returns bytes written.
@@ -330,6 +404,16 @@ impl<'a> Os<'a> {
         self.read(fd, max)
     }
 
+    /// [`Os::recv`] into the caller's buffer (alias of [`Os::read_into`]
+    /// on a socket fd).
+    ///
+    /// # Errors
+    ///
+    /// `WouldBlock`, `ConnReset`.
+    pub fn recv_into(&mut self, fd: u64, max: u64, buf: &mut Vec<u8>) -> Result<usize, OsError> {
+        self.read_into(fd, max, buf)
+    }
+
     /// Sends bytes (alias of [`Os::write`] on a socket fd).
     ///
     /// # Errors
@@ -387,11 +471,31 @@ impl<'a> Os<'a> {
     ///
     /// Transport errors.
     pub fn poll_ready(&mut self, fds: &[u64]) -> Result<Vec<u64>, OsError> {
-        let query: Vec<Value> = fds.iter().map(|&fd| Value::U64(fd)).collect();
-        let v = self
-            .sys
-            .syscall(names::VFS, vf::POLL_READY, &[Value::List(query)])?;
-        v.as_list()?.iter().map(Value::as_u64).collect()
+        let mut set = PollSet::default();
+        for &fd in fds {
+            set.watch(fd);
+        }
+        self.poll(&mut set)?;
+        Ok(set.ready)
+    }
+
+    /// [`Os::poll_ready`] over a caller-kept [`PollSet`]: replaces its
+    /// ready list with those of its watched fds that have pending work.
+    ///
+    /// # Errors
+    ///
+    /// Transport errors.
+    pub fn poll(&mut self, set: &mut PollSet) -> Result<(), OsError> {
+        let args = [Value::List(std::mem::take(&mut set.query))];
+        let reply = self.sys.syscall(names::VFS, vf::POLL_READY, &args);
+        if let [Value::List(query)] = args {
+            set.query = query;
+        }
+        set.ready.clear();
+        for fd in reply?.as_list()? {
+            set.ready.push(fd.as_u64()?);
+        }
+        Ok(())
     }
 
     // ---- process / identity / time ----
@@ -448,4 +552,11 @@ impl<'a> Os<'a> {
             .syscall(names::TIMER, uf::NANOSLEEP, &[Value::U64(ns)])?;
         Ok(())
     }
+}
+
+/// Appends a read's byte payload to `buf`, returning its length.
+fn append_bytes(v: &Value, buf: &mut Vec<u8>) -> Result<usize, OsError> {
+    let bytes = v.as_bytes()?;
+    buf.extend_from_slice(bytes);
+    Ok(bytes.len())
 }

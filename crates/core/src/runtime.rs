@@ -2,6 +2,7 @@
 //! message-passing invoke path (§V-A, §V-C, §V-D).
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use vampos_host::HostHandle;
 use vampos_mem::Snapshot;
@@ -635,6 +636,12 @@ impl System {
             .unwrap_or(0)
     }
 
+    /// A component's function log, read-only (`None` for a component the
+    /// image does not link).
+    pub fn function_log(&self, component: &str) -> Option<&FunctionLog> {
+        self.slot_index(component).map(|i| &self.slots[i].log)
+    }
+
     /// Current log records (entries + recorded downcall returns) of a
     /// component — the unit Table III counts.
     pub fn log_records(&self, component: &str) -> usize {
@@ -1255,13 +1262,20 @@ impl CallContext for Ctx<'_> {
         self.replay.as_ref().map(|r| &r.hint)
     }
 
-    fn trace_instant(&mut self, name: &str, detail: &str) {
+    fn trace_instant(&mut self, name: &str, detail: fmt::Arguments<'_>) {
         // Replayed downcalls must not re-emit their original instants: the
         // replay already renders as a `log_replay` phase span.
         if self.replay.is_some() {
             return;
         }
         let sys = &*self.sys;
-        sys.emit(|c| c.instant(&sys.slots[self.me].name, name, detail, sys.clock.now()));
+        sys.emit(|c| {
+            let track = &sys.slots[self.me].name;
+            let at = sys.clock.now();
+            match detail.as_str() {
+                Some(text) => c.instant(track, name, text, at),
+                None => c.instant(track, name, &detail.to_string(), at),
+            }
+        });
     }
 }

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use vampos_core::funclog::{downcall_bytes, entry_bytes};
 use vampos_core::symbols::{FnTable, COMPACTOR};
 use vampos_core::{Call, Caller, Compaction, FunctionLog, LogEntry};
-use vampos_ukernel::{names, SessionEvent, TouchSynthesis, Value};
+use vampos_ukernel::{names, Payload, SessionEvent, TouchSynthesis, Value};
 
 /// The original, unindexed shrinking algorithm, kept as an executable spec.
 #[derive(Default)]
@@ -190,7 +190,10 @@ impl Indexed {
     /// byte accounting has something to track.
     fn append(&mut self, func: &str, ev: SessionEvent, shrinking: bool) -> usize {
         let args = match ev {
-            SessionEvent::Touch(s) => vec![Value::U64(s), Value::Bytes(vec![0; s as usize])],
+            SessionEvent::Touch(s) => vec![
+                Value::U64(s),
+                Value::Bytes(Payload::from(vec![0; s as usize])),
+            ],
             _ => Vec::new(),
         };
         let args_bytes = args.iter().map(Value::byte_len).sum();

@@ -16,6 +16,8 @@
 //! * [`VirtQueue`] — virtio-style descriptor rings shared between guest and
 //!   host, including the **desynchronisation on one-sided reset** that makes
 //!   VIRTIO unrebootable without host cooperation,
+//! * [`Payload`] — the shared, immutable byte buffer every frame, 9P
+//!   message and marshalled value carries,
 //! * [`HostWorld`] — the bundle of all host state a guest instance attaches
 //!   to.
 //!
@@ -24,10 +26,12 @@
 
 pub mod netpeer;
 pub mod ninep;
+pub mod payload;
 pub mod virtio;
 pub mod world;
 
-pub use netpeer::{take_front, ClientConnId, ClientConnState, Frame, HostNetwork, TcpFlags};
+pub use netpeer::{ClientConnId, ClientConnState, Frame, HostNetwork, TcpFlags};
 pub use ninep::{Fid, NinePError, NinePGlitch, NinePRequest, NinePResponse, NinePServer, Qid};
+pub use payload::Payload;
 pub use virtio::{Descriptor, RingGlitch, VirtQueue, VirtQueueError};
 pub use world::{HostHandle, HostWorld};

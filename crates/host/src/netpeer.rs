@@ -16,6 +16,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
+use crate::payload::Payload;
+
 /// TCP header flags (the subset the simulation uses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TcpFlags {
@@ -103,7 +105,7 @@ pub struct Frame {
     /// Header flags.
     pub flags: TcpFlags,
     /// Payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: Payload,
 }
 
 impl Frame {
@@ -233,7 +235,7 @@ impl HostNetwork {
             seq: iss,
             ack: 0,
             flags: TcpFlags::SYN,
-            payload: Vec::new(),
+            payload: Payload::new(),
         });
         id
     }
@@ -257,7 +259,7 @@ impl HostNetwork {
             seq: conn.snd_nxt,
             ack: conn.rcv_nxt,
             flags: TcpFlags::ACK,
-            payload: payload.to_vec(),
+            payload: Payload::from(payload),
         };
         conn.snd_nxt = conn.snd_nxt.wrapping_add(payload.len() as u32);
         self.to_guest.push_back(frame);
@@ -274,8 +276,7 @@ impl HostNetwork {
             .conns
             .get_mut(&id)
             .ok_or(NetPeerError::UnknownConn(id))?;
-        let len = conn.recv_buf.len();
-        Ok(take_front(&mut conn.recv_buf, len))
+        Ok(Vec::from(std::mem::take(&mut conn.recv_buf)))
     }
 
     /// Starts an orderly close (sends FIN).
@@ -300,7 +301,7 @@ impl HostNetwork {
             seq: conn.snd_nxt,
             ack: conn.rcv_nxt,
             flags: TcpFlags::FIN_ACK,
-            payload: Vec::new(),
+            payload: Payload::new(),
         };
         conn.snd_nxt = conn.snd_nxt.wrapping_add(1); // FIN consumes one
         conn.state = ClientConnState::FinWait;
@@ -347,7 +348,7 @@ impl HostNetwork {
                     seq: frame.ack,
                     ack: 0,
                     flags: TcpFlags::RST,
-                    payload: Vec::new(),
+                    payload: Payload::new(),
                 });
             }
             return;
@@ -376,7 +377,7 @@ impl HostNetwork {
                         seq: conn.snd_nxt,
                         ack: conn.rcv_nxt,
                         flags: TcpFlags::ACK,
-                        payload: Vec::new(),
+                        payload: Payload::new(),
                     };
                     self.to_guest.push_back(ack);
                 }
@@ -410,7 +411,7 @@ impl HostNetwork {
                         seq: conn.snd_nxt,
                         ack: conn.rcv_nxt,
                         flags: TcpFlags::ACK,
-                        payload: Vec::new(),
+                        payload: Payload::new(),
                     };
                     self.to_guest.push_back(ack);
                 }
@@ -432,7 +433,7 @@ impl HostNetwork {
             seq: conn.snd_nxt,
             ack: conn.rcv_nxt,
             flags: TcpFlags::RST,
-            payload: Vec::new(),
+            payload: Payload::new(),
         };
         self.to_guest.push_back(rst);
     }
@@ -473,39 +474,9 @@ impl HostNetwork {
     }
 }
 
-/// Removes the first `n` bytes of `buf` (at most its length) and returns
-/// them, copying the ring's two contiguous halves instead of moving the
-/// bytes one at a time.
-pub fn take_front(buf: &mut VecDeque<u8>, n: usize) -> Vec<u8> {
-    let n = n.min(buf.len());
-    let (head, tail) = buf.as_slices();
-    let from_head = n.min(head.len());
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&head[..from_head]);
-    out.extend_from_slice(&tail[..n - from_head]);
-    buf.drain(..n);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn take_front_matches_a_bytewise_drain_across_the_ring_wrap() {
-        for n in [0, 1, 5, 8, 11, 40] {
-            // A ring whose contents wrap: fill, consume the front, refill.
-            let mut buf: VecDeque<u8> = VecDeque::with_capacity(16);
-            buf.extend(0..12u8);
-            buf.drain(..7);
-            buf.extend(100..107u8);
-            assert!(!buf.as_slices().1.is_empty(), "contents wrap");
-            let mut reference = buf.clone();
-            let want: Vec<u8> = reference.drain(..n.min(reference.len())).collect();
-            assert_eq!(take_front(&mut buf, n), want, "n = {n}");
-            assert_eq!(buf, reference, "n = {n}");
-        }
-    }
 
     /// Simulate the guest side of a handshake by hand.
     fn complete_handshake(net: &mut HostNetwork, id: ClientConnId) -> (u16, u32, u32) {
@@ -518,7 +489,7 @@ mod tests {
             seq: guest_iss,
             ack: syn.seq + 1,
             flags: TcpFlags::SYN_ACK,
-            payload: Vec::new(),
+            payload: Payload::new(),
         });
         assert_eq!(net.state(id).unwrap(), ClientConnState::Established);
         let ack = net.take_frame_for_guest().expect("client ACK");
@@ -546,7 +517,7 @@ mod tests {
             seq: 5,
             ack: syn.seq + 999, // wrong
             flags: TcpFlags::SYN_ACK,
-            payload: Vec::new(),
+            payload: Payload::new(),
         });
         assert_eq!(net.state(id).unwrap(), ClientConnState::Reset);
         assert_eq!(net.seq_errors(), 1);
@@ -563,7 +534,7 @@ mod tests {
             seq: guest_next,
             ack: 0,
             flags: TcpFlags::ACK,
-            payload: b"hello".to_vec(),
+            payload: Payload::from(b"hello"),
         });
         assert_eq!(net.recv(id).unwrap(), b"hello");
         let ack = net.take_frame_for_guest().unwrap();
@@ -581,7 +552,7 @@ mod tests {
             seq: guest_next + 100, // hole
             ack: 0,
             flags: TcpFlags::ACK,
-            payload: b"x".to_vec(),
+            payload: Payload::from(b"x"),
         });
         assert_eq!(net.state(id).unwrap(), ClientConnState::Reset);
         let rst = net.take_frame_for_guest().unwrap();
@@ -623,7 +594,7 @@ mod tests {
             seq: guest_next,
             ack: 0,
             flags: TcpFlags::FIN_ACK,
-            payload: Vec::new(),
+            payload: Payload::new(),
         });
         assert_eq!(net.state(id).unwrap(), ClientConnState::Closed);
         let ack = net.take_frame_for_guest().unwrap();
@@ -655,7 +626,7 @@ mod tests {
             seq: 0,
             ack: 0,
             flags: TcpFlags::RST,
-            payload: Vec::new(),
+            payload: Payload::new(),
         });
         assert_eq!(net.state(id).unwrap(), ClientConnState::Reset);
     }
@@ -669,7 +640,7 @@ mod tests {
             seq: 1,
             ack: 2,
             flags: TcpFlags::ACK,
-            payload: b"?".to_vec(),
+            payload: Payload::from(b"?"),
         });
         let rst = net.take_frame_for_guest().unwrap();
         assert!(rst.flags.rst);
@@ -707,7 +678,7 @@ mod tests {
             seq: 0,
             ack: 0,
             flags: TcpFlags::ACK,
-            payload: vec![0; 10],
+            payload: Payload::from(&[0; 10]),
         };
         assert_eq!(f.wire_len(), 50);
     }

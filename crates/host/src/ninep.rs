@@ -11,6 +11,8 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
+use crate::payload::Payload;
+
 /// A fid: the client-chosen handle a 9P session uses to name a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Fid(pub u32);
@@ -133,7 +135,7 @@ pub enum NinePRequest {
         /// Byte offset.
         offset: u64,
         /// Bytes to write.
-        data: Vec<u8>,
+        data: Payload,
     },
     /// Flush the file to stable storage.
     Fsync {
@@ -182,7 +184,7 @@ pub enum NinePResponse {
     /// Successful attach/walk/open/create/mkdir: the file's qid.
     Qid(Qid),
     /// Successful read: the data (may be shorter than requested).
-    Data(Vec<u8>),
+    Data(Payload),
     /// Successful write: bytes written.
     Count(u32),
     /// Successful stat: qid and file length.
@@ -387,9 +389,9 @@ impl NinePServer {
         if let Some(NinePGlitch::CorruptSilent { count }) = self.glitch {
             if is_read {
                 if let NinePResponse::Data(data) = &mut resp {
-                    for byte in data.iter_mut() {
-                        *byte ^= 0x5a;
-                    }
+                    // Copy on write: the garbled bytes go into a fresh
+                    // buffer, never into one another holder shares.
+                    *data = data.iter().map(|byte| byte ^ 0x5a).collect();
                 }
                 self.glitch =
                     (count > 1).then_some(NinePGlitch::CorruptSilent { count: count - 1 });
@@ -465,7 +467,7 @@ impl NinePServer {
                     NodeBody::File(data) => {
                         let start = (offset as usize).min(data.len());
                         let end = (start + count as usize).min(data.len());
-                        Ok(NinePResponse::Data(data[start..end].to_vec()))
+                        Ok(NinePResponse::Data(Payload::from(&data[start..end])))
                     }
                     NodeBody::Dir(children) => {
                         // Directory read: newline-separated names (enough for
@@ -478,7 +480,7 @@ impl NinePServer {
                             .into_bytes();
                         let start = (offset as usize).min(listing.len());
                         let end = (start + count as usize).min(listing.len());
-                        Ok(NinePResponse::Data(listing[start..end].to_vec()))
+                        Ok(NinePResponse::Data(Payload::from(&listing[start..end])))
                     }
                 }
             }
@@ -694,7 +696,7 @@ mod tests {
             offset: 0,
             count: 100,
         });
-        assert_eq!(resp, NinePResponse::Data(b"welcome".to_vec()));
+        assert_eq!(resp, NinePResponse::Data(Payload::from(b"welcome")));
     }
 
     #[test]
@@ -717,7 +719,7 @@ mod tests {
                 offset: 2,
                 count: 100
             }),
-            NinePResponse::Data(b"c".to_vec())
+            NinePResponse::Data(Payload::from(b"c"))
         );
         assert_eq!(
             srv.handle(NinePRequest::Read {
@@ -725,7 +727,7 @@ mod tests {
                 offset: 99,
                 count: 4
             }),
-            NinePResponse::Data(Vec::new())
+            NinePResponse::Data(Payload::new())
         );
     }
 
@@ -741,12 +743,12 @@ mod tests {
         srv.handle(NinePRequest::Write {
             fid: Fid(1),
             offset: 0,
-            data: b"hello".to_vec(),
+            data: Payload::from(b"hello"),
         });
         srv.handle(NinePRequest::Write {
             fid: Fid(1),
             offset: 3,
-            data: b"LOWS".to_vec(),
+            data: Payload::from(b"LOWS"),
         });
         assert_eq!(srv.read_file("/log").unwrap(), b"helLOWS");
     }
@@ -763,7 +765,7 @@ mod tests {
         srv.handle(NinePRequest::Write {
             fid: Fid(1),
             offset: 4,
-            data: b"x".to_vec(),
+            data: Payload::from(b"x"),
         });
         assert_eq!(srv.read_file("/sparse").unwrap(), b"\0\0\0\0x");
     }
@@ -869,7 +871,7 @@ mod tests {
         srv.handle(NinePRequest::Write {
             fid: Fid(2),
             offset: 0,
-            data: b"<p>".to_vec(),
+            data: Payload::from(b"<p>"),
         });
         assert_eq!(srv.read_file("/www/a.html").unwrap(), b"<p>");
     }
@@ -976,7 +978,7 @@ mod tests {
                 offset: 0,
                 count: 64
             }),
-            NinePResponse::Data(b"a\nb".to_vec())
+            NinePResponse::Data(Payload::from(b"a\nb"))
         );
     }
 
@@ -1043,7 +1045,7 @@ mod tests {
                 offset: 0,
                 count: 64
             }),
-            NinePResponse::Data(garbled)
+            NinePResponse::Data(Payload::from(garbled))
         );
         // Window consumed: the next read is clean.
         assert_eq!(
@@ -1052,7 +1054,7 @@ mod tests {
                 offset: 0,
                 count: 64
             }),
-            NinePResponse::Data(b"abc".to_vec())
+            NinePResponse::Data(Payload::from(b"abc"))
         );
         srv.inject_glitch(NinePGlitch::CorruptSilent { count: 3 });
         srv.clear_session_glitch();

@@ -194,6 +194,7 @@ mod tests {
     use super::*;
     use crate::netpeer::TcpFlags;
     use crate::ninep::Fid;
+    use crate::payload::Payload;
 
     #[test]
     fn ninep_transactions_flow_through_the_ring() {
@@ -219,7 +220,7 @@ mod tests {
             seq: 100,
             ack: syn.seq + 1,
             flags: TcpFlags::SYN_ACK,
-            payload: Vec::new(),
+            payload: Payload::new(),
         })
         .unwrap();
         assert_eq!(w.network().frames_from_guest(), 1);

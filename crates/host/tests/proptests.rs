@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use vampos_host::{Frame, HostNetwork, TcpFlags, VirtQueue};
+use vampos_host::{Frame, HostNetwork, Payload, TcpFlags, VirtQueue};
 
 #[derive(Debug, Clone)]
 enum QueueOp {
@@ -104,7 +104,7 @@ proptest! {
                 seq,
                 ack,
                 flags: TcpFlags { syn, ack: ackf, fin, rst },
-                payload,
+                payload: Payload::from(payload),
             });
             // Drain so the wire queue stays bounded.
             while net.take_frame_for_guest().is_some() {}

@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use vampos_host::{Frame, TcpFlags};
+use vampos_host::{Frame, Payload, TcpFlags};
 use vampos_mem::{AllocHandle, ArenaLayout, MemoryArena};
 use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{
@@ -234,7 +234,7 @@ impl Lwip {
             seq: to.ack,
             ack: 0,
             flags: TcpFlags::RST,
-            payload: Vec::new(),
+            payload: Payload::new(),
         };
         self.tx(ctx, rst)
     }
@@ -314,7 +314,7 @@ impl Lwip {
             seq: iss,
             ack: sock.rcv_nxt,
             flags: TcpFlags::SYN_ACK,
-            payload: Vec::new(),
+            payload: Payload::new(),
         };
         self.socks.insert(id, sock);
         self.conns.insert((frame.dst_port, frame.src_port), id);
@@ -383,7 +383,7 @@ impl Lwip {
                         seq: sock.snd_nxt,
                         ack: sock.rcv_nxt,
                         flags: TcpFlags::ACK,
-                        payload: Vec::new(),
+                        payload: Payload::new(),
                     };
                     self.tx(ctx, ack)?;
                 }
@@ -500,7 +500,7 @@ impl Component for Lwip {
                     seq: sock.snd_nxt,
                     ack: sock.rcv_nxt,
                     flags: TcpFlags::FIN_ACK,
-                    payload: Vec::new(),
+                    payload: Payload::new(),
                 };
                 sock.snd_nxt = sock.snd_nxt.wrapping_add(1);
                 sock.state = SockState::Closed;
@@ -517,7 +517,7 @@ impl Component for Lwip {
                         seq: sock.snd_nxt,
                         ack: sock.rcv_nxt,
                         flags: TcpFlags::FIN_ACK,
-                        payload: Vec::new(),
+                        payload: Payload::new(),
                     };
                     sock.snd_nxt = sock.snd_nxt.wrapping_add(1);
                     self.tx(ctx, fin)?;
@@ -571,16 +571,18 @@ impl Component for Lwip {
                 }
                 if sock.recv_buf.is_empty() {
                     if sock.peer_closed {
-                        return Ok(Value::Bytes(Vec::new())); // EOF
+                        return Ok(Value::Bytes(Payload::new())); // EOF
                     }
                     return Err(OsError::WouldBlock);
                 }
-                let n = (max as usize).min(sock.recv_buf.len());
-                Ok(Value::Bytes(vampos_host::take_front(&mut sock.recv_buf, n)))
+                Ok(Value::Bytes(Payload::drain_front(
+                    &mut sock.recv_buf,
+                    max as usize,
+                )))
             }
             f::SEND => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
-                let bytes = args.get(1).ok_or(OsError::Inval)?.as_bytes()?.to_vec();
+                let bytes = args.get(1).ok_or(OsError::Inval)?.as_payload()?;
                 // Transmit needs no inbound frames; peer ACKs are harvested
                 // by the next readiness query or receive.
                 let sock = self.sock_mut(id)?;
@@ -597,9 +599,10 @@ impl Component for Lwip {
                     flags: TcpFlags::ACK,
                     payload: bytes.clone(),
                 };
-                sock.snd_nxt = sock.snd_nxt.wrapping_add(bytes.len() as u32);
+                let len = bytes.len();
+                sock.snd_nxt = sock.snd_nxt.wrapping_add(len as u32);
                 self.tx(ctx, frame)?;
-                Ok(Value::U64(bytes.len() as u64))
+                Ok(Value::U64(len as u64))
             }
             f::POLL => {
                 if !ctx.is_replay() {
@@ -894,7 +897,7 @@ mod tests {
         assert_eq!(
             lwip.call(&mut ctx, f::RECV, &[Value::U64(conn), Value::U64(8)])
                 .unwrap(),
-            Value::Bytes(Vec::new())
+            Value::Bytes(Payload::new())
         );
     }
 

@@ -118,9 +118,11 @@ impl NinePFs {
         ctx: &mut dyn CallContext,
         req: NinePRequest,
     ) -> Result<NinePResponse, OsError> {
-        ctx.trace_instant("9p_rpc", req.kind_name());
-        let v = ctx.invoke(names::VIRTIO, vio::NINEP, &[Value::NinePReq(req)])?;
-        Ok(v.as_ninep_resp()?.clone())
+        ctx.trace_instant("9p_rpc", format_args!("{}", req.kind_name()));
+        match ctx.invoke(names::VIRTIO, vio::NINEP, &[Value::NinePReq(req)])? {
+            Value::NinePResp(resp) => Ok(resp),
+            other => Err(OsError::bad_value("9p-response", &other)),
+        }
     }
 
     fn expect_qid(resp: NinePResponse) -> Result<(), OsError> {
@@ -386,7 +388,7 @@ impl Component for NinePFs {
             f::WRITE => {
                 let fid = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let offset = args.get(1).ok_or(OsError::Inval)?.as_u64()?;
-                let data = args.get(2).ok_or(OsError::Inval)?.as_bytes()?.to_vec();
+                let data = args.get(2).ok_or(OsError::Inval)?.as_payload()?.clone();
                 if !self.entry(fid)?.open {
                     return Err(OsError::BadFd);
                 }

@@ -19,8 +19,8 @@ use std::ops::BitOr;
 use vampos_mem::{AllocHandle, ArenaLayout, MemoryArena};
 use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{
-    names, CallContext, Component, ComponentDescriptor, OsError, SessionEvent, TouchSynthesis,
-    Value,
+    names, CallContext, Component, ComponentDescriptor, OsError, Payload, SessionEvent,
+    TouchSynthesis, Value,
 };
 
 use crate::funcs::{lwip as lw, ninepfs as np, vfs as f};
@@ -146,6 +146,11 @@ pub struct Vfs {
     last_close_sessions: Vec<u64>,
     /// Whether the most recent `vfscore_vget` created a fresh vnode.
     last_vget_new: bool,
+    /// `poll_ready` scratch, kept between calls so a readiness query does
+    /// not allocate: the queried socket fds with their LWIP socket ids,
+    /// and the query list handed to LWIP. Not component state.
+    poll_socks: Vec<(u64, u64)>,
+    poll_query: Vec<Value>,
 }
 
 impl Default for Vfs {
@@ -237,6 +242,8 @@ impl Vfs {
             next_pipe: 1,
             last_close_sessions: Vec::new(),
             last_vget_new: false,
+            poll_socks: Vec::new(),
+            poll_query: Vec::new(),
         }
     }
 
@@ -386,7 +393,7 @@ impl Vfs {
         &mut self,
         ctx: &mut dyn CallContext,
         fd: u64,
-        data: &[u8],
+        data: &Payload,
         at: Option<u64>,
     ) -> Result<u64, OsError> {
         let (fid, offset, append) = match &self.entry(fd)?.kind {
@@ -402,7 +409,7 @@ impl Vfs {
                     .invoke(
                         names::LWIP,
                         lw::SEND,
-                        &[Value::U64(sock), Value::from(data)],
+                        &[Value::U64(sock), Value::Bytes(data.clone())],
                     )?
                     .as_u64()?;
                 return Ok(n);
@@ -429,7 +436,11 @@ impl Vfs {
             .invoke(
                 names::NINEPFS,
                 np::WRITE,
-                &[Value::U64(fid), Value::U64(write_at), Value::from(data)],
+                &[
+                    Value::U64(fid),
+                    Value::U64(write_at),
+                    Value::Bytes(data.clone()),
+                ],
             )?
             .as_u64()?;
         if at.is_none() {
@@ -446,13 +457,13 @@ impl Vfs {
         fd: u64,
         max: u64,
         at: Option<u64>,
-    ) -> Result<Vec<u8>, OsError> {
+    ) -> Result<Payload, OsError> {
         let (fid, offset) = match &self.entry(fd)?.kind {
             FdKind::File { fid, offset, .. } => (*fid, *offset),
             FdKind::Socket { sock } => {
                 let sock = *sock;
                 let v = ctx.invoke(names::LWIP, lw::RECV, &[Value::U64(sock), Value::U64(max)])?;
-                return Ok(v.as_bytes()?.to_vec());
+                return Ok(v.as_payload()?.clone());
             }
             FdKind::PipeRead { pipe } => {
                 let pipe = *pipe;
@@ -460,8 +471,7 @@ impl Vfs {
                 if buf.is_empty() {
                     return Err(OsError::WouldBlock);
                 }
-                let n = (max as usize).min(buf.len());
-                return Ok(vampos_host::take_front(buf, n));
+                return Ok(Payload::drain_front(buf, max as usize));
             }
             FdKind::PipeWrite { .. } => return Err(OsError::BadFd),
         };
@@ -471,13 +481,42 @@ impl Vfs {
             np::READ,
             &[Value::U64(fid), Value::U64(read_at), Value::U64(max)],
         )?;
-        let data = v.as_bytes()?.to_vec();
+        let data = v.as_payload()?.clone();
         if at.is_none() {
             if let FdKind::File { offset, .. } = &mut self.fds.get_mut(&fd).expect("live").kind {
                 *offset = read_at + data.len() as u64;
             }
         }
         Ok(data)
+    }
+
+    /// The socket half of `poll_ready`: one LWIP readiness query over
+    /// `socks` (`(fd, socket id)` pairs), appending the ready fds to
+    /// `ready`. The query list reuses the `poll_query` scratch.
+    fn poll_sockets(
+        &mut self,
+        ctx: &mut dyn CallContext,
+        socks: &[(u64, u64)],
+        ready: &mut Vec<Value>,
+    ) -> Result<(), OsError> {
+        if socks.is_empty() {
+            return Ok(());
+        }
+        let mut query = std::mem::take(&mut self.poll_query);
+        query.clear();
+        query.extend(socks.iter().map(|&(_, s)| Value::U64(s)));
+        let args = [Value::List(query)];
+        let ready_socks = ctx.invoke(names::LWIP, lw::READY, &args);
+        if let [Value::List(query)] = args {
+            self.poll_query = query;
+        }
+        for rs in ready_socks?.as_list()? {
+            let sock = rs.as_u64()?;
+            if let Some(&(fd, _)) = socks.iter().find(|&&(_, s)| s == sock) {
+                ready.push(Value::U64(fd));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -539,22 +578,23 @@ impl Component for Vfs {
             }
             f::WRITE => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
-                let data = args.get(1).ok_or(OsError::Inval)?.as_bytes()?.to_vec();
-                self.file_write(ctx, fd, &data, None).map(Value::U64)
+                let data = args.get(1).ok_or(OsError::Inval)?.as_payload()?;
+                self.file_write(ctx, fd, data, None).map(Value::U64)
             }
             f::PWRITE => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
-                let data = args.get(1).ok_or(OsError::Inval)?.as_bytes()?.to_vec();
+                let data = args.get(1).ok_or(OsError::Inval)?.as_payload()?;
                 let off = args.get(2).ok_or(OsError::Inval)?.as_u64()?;
-                self.file_write(ctx, fd, &data, Some(off)).map(Value::U64)
+                self.file_write(ctx, fd, data, Some(off)).map(Value::U64)
             }
             f::WRITEV => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
-                let iov = args.get(1).ok_or(OsError::Inval)?.as_list()?.to_vec();
-                let mut flat = Vec::new();
-                for chunk in &iov {
-                    flat.extend_from_slice(chunk.as_bytes()?);
+                let iov = args.get(1).ok_or(OsError::Inval)?.as_list()?;
+                // Validate every chunk, then gather them with one copy.
+                for chunk in iov {
+                    chunk.as_bytes()?;
                 }
+                let flat = Payload::concat(iov.iter().map(|c| c.as_bytes().unwrap_or_default()));
                 self.file_write(ctx, fd, &flat, None).map(Value::U64)
             }
             f::LSEEK => {
@@ -745,12 +785,13 @@ impl Component for Vfs {
                 ctx.invoke(names::LWIP, target_func, &fwd)
             }
             f::POLL_READY => {
-                let queried = args.first().ok_or(OsError::Inval)?.as_list()?.to_vec();
+                let queried = args.first().ok_or(OsError::Inval)?.as_list()?;
                 // Partition: sockets go to LWIP in one readiness query;
                 // files are always ready; pipes are ready when non-empty.
-                let mut sock_fds = Vec::new();
+                let mut sock_fds = std::mem::take(&mut self.poll_socks);
+                sock_fds.clear();
                 let mut ready = Vec::new();
-                for v in &queried {
+                for v in queried {
                     let fd = v.as_u64()?;
                     match self.fds.get(&fd).map(|e| &e.kind) {
                         Some(FdKind::Socket { sock }) => sock_fds.push((fd, *sock)),
@@ -767,17 +808,9 @@ impl Component for Vfs {
                         }
                     }
                 }
-                if !sock_fds.is_empty() {
-                    let query: Vec<Value> = sock_fds.iter().map(|&(_, s)| Value::U64(s)).collect();
-                    let ready_socks = ctx.invoke(names::LWIP, lw::READY, &[Value::List(query)])?;
-                    for rs in ready_socks.as_list()? {
-                        let sock = rs.as_u64()?;
-                        if let Some(&(fd, _)) = sock_fds.iter().find(|&&(_, s)| s == sock) {
-                            ready.push(Value::U64(fd));
-                        }
-                    }
-                }
-                Ok(Value::List(ready))
+                let outcome = self.poll_sockets(ctx, &sock_fds, &mut ready);
+                self.poll_socks = sock_fds;
+                outcome.map(|()| Value::List(ready))
             }
             f::FSTAT => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
@@ -966,7 +999,7 @@ mod tests {
             (names::NINEPFS, np::CLOSE) | (names::NINEPFS, np::INACTIVE) => Ok(Value::Unit),
             (names::NINEPFS, np::READ) => {
                 let max = args[2].as_u64().unwrap() as usize;
-                Ok(Value::Bytes(vec![b'x'; max.min(4)]))
+                Ok(Value::Bytes(Payload::from(vec![b'x'; max.min(4)])))
             }
             (names::NINEPFS, np::WRITE) => Ok(Value::U64(args[2].as_bytes().unwrap().len() as u64)),
             (names::NINEPFS, np::STAT_FID) => Ok(Value::List(vec![Value::U64(40)])),
@@ -974,7 +1007,7 @@ mod tests {
             (names::LWIP, lw::SOCKET) => Ok(Value::U64(7)),
             (names::LWIP, lw::ACCEPT) => Ok(Value::U64(8)),
             (names::LWIP, lw::SEND) => Ok(Value::U64(args[1].as_bytes().unwrap().len() as u64)),
-            (names::LWIP, lw::RECV) => Ok(Value::Bytes(b"net".to_vec())),
+            (names::LWIP, lw::RECV) => Ok(Value::Bytes(Payload::from(b"net"))),
             (names::LWIP, _) => Ok(Value::Unit),
             other => panic!("unexpected downcall {other:?}"),
         });

@@ -68,13 +68,15 @@ impl Component for Virtio {
         match func {
             f::NINEP => {
                 let req = match args.first() {
-                    Some(Value::NinePReq(req)) => req.clone(),
+                    Some(Value::NinePReq(req)) => req,
                     Some(other) => return Err(OsError::bad_value("9p-request", other)),
                     None => return Err(OsError::Inval),
                 };
-                let payload = Value::NinePReq(req.clone()).byte_len();
+                let payload = Value::ninep_request_len(req);
                 ctx.charge(ctx.costs().virtio_kick + ctx.costs().host_9p(payload));
-                ctx.trace_instant("virtio_kick", &format!("9p {payload}B"));
+                ctx.trace_instant("virtio_kick", format_args!("9p {payload}B"));
+                // The descriptor the ring takes shares any write payload.
+                let req = req.clone();
                 let resp = self
                     .host
                     .with(|w| w.ninep_transact(req))
@@ -83,27 +85,28 @@ impl Component for Virtio {
             }
             f::NET_TX => {
                 let frame = match args.first() {
-                    Some(Value::Frame(Some(frame))) => frame.clone(),
+                    Some(Value::Frame(Some(frame))) => frame,
                     Some(other) => return Err(OsError::bad_value("frame", other)),
                     None => return Err(OsError::Inval),
                 };
-                ctx.charge(
-                    ctx.costs().virtio_kick + ctx.costs().net_per_byte * frame.wire_len() as u64,
-                );
-                ctx.trace_instant("virtio_kick", &format!("net-tx {}B", frame.wire_len()));
+                let wire_len = frame.wire_len();
+                ctx.charge(ctx.costs().virtio_kick + ctx.costs().net_per_byte * wire_len as u64);
+                ctx.trace_instant("virtio_kick", format_args!("net-tx {wire_len}B"));
+                // The host's ring shares the frame's payload.
+                let frame = frame.clone();
                 self.host.with(|w| w.net_send(frame)).map_err(ring_error)?;
                 Ok(Value::Unit)
             }
             f::NET_RX => {
                 ctx.charge(ctx.costs().virtio_kick);
-                ctx.trace_instant("virtio_kick", "net-rx");
+                ctx.trace_instant("virtio_kick", format_args!("net-rx"));
                 let frame = self.host.with(|w| w.net_recv()).map_err(ring_error)?;
                 Ok(Value::Frame(frame))
             }
             f::NET_RX_BATCH => {
                 // Real virtio drivers harvest the whole used ring per kick.
                 ctx.charge(ctx.costs().virtio_kick);
-                ctx.trace_instant("virtio_kick", "net-rx-batch");
+                ctx.trace_instant("virtio_kick", format_args!("net-rx-batch"));
                 let mut frames = Vec::new();
                 while let Some(frame) = self.host.with(|w| w.net_recv()).map_err(ring_error)? {
                     ctx.charge(ctx.costs().net_per_byte * frame.wire_len() as u64);

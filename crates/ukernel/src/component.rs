@@ -361,8 +361,10 @@ pub trait CallContext {
 
     /// Emits a point event on the component's telemetry track (e.g. a
     /// VIRTIO host kick or a 9P RPC). No-op unless the runtime has a
-    /// telemetry collector attached; never emitted during replay.
-    fn trace_instant(&mut self, _name: &str, _detail: &str) {}
+    /// telemetry collector attached; never emitted during replay. The
+    /// detail is formatted lazily (`format_args!`), so a call with no
+    /// collector attached renders no text.
+    fn trace_instant(&mut self, _name: &str, _detail: fmt::Arguments<'_>) {}
 }
 
 /// A unikernel component.

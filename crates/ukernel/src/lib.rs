@@ -35,6 +35,8 @@ pub use component::{
 };
 pub use error::OsError;
 pub use value::Value;
+/// The shared byte buffer [`Value::Bytes`] carries (see `vampos_host::payload`).
+pub use vampos_host::Payload;
 
 /// Canonical component names used across the workspace.
 pub mod names {

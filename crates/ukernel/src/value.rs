@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use vampos_host::{Frame, NinePRequest, NinePResponse};
+use vampos_host::{Frame, NinePRequest, NinePResponse, Payload};
 
 use crate::error::OsError;
 
@@ -36,8 +36,9 @@ pub enum Value {
     I64(i64),
     /// An unsigned integer (fds, pids, lengths, ports).
     U64(u64),
-    /// A byte buffer (file/socket payloads).
-    Bytes(Vec<u8>),
+    /// A byte buffer (file/socket payloads), shared by every hop and log
+    /// entry that carries it.
+    Bytes(Payload),
     /// A string (paths, names).
     Str(String),
     /// A heterogeneous list (multi-value returns, iovecs).
@@ -93,6 +94,19 @@ impl Value {
     ///
     /// [`OsError::BadValue`] when the variant differs.
     pub fn as_bytes(&self) -> Result<&[u8], OsError> {
+        match self {
+            Value::Bytes(v) => Ok(v),
+            other => Err(OsError::bad_value("bytes", other)),
+        }
+    }
+
+    /// Borrows the shared byte buffer (clone it to pass the bytes on
+    /// without copying them).
+    ///
+    /// # Errors
+    ///
+    /// [`OsError::BadValue`] when the variant differs.
+    pub fn as_payload(&self) -> Result<&Payload, OsError> {
         match self {
             Value::Bytes(v) => Ok(v),
             other => Err(OsError::bad_value("bytes", other)),
@@ -173,18 +187,7 @@ impl Value {
             Value::Bytes(b) => 8 + b.len(),
             Value::Str(s) => 8 + s.len(),
             Value::List(items) => 8 + items.iter().map(Value::byte_len).sum::<usize>(),
-            Value::NinePReq(req) => {
-                16 + match req {
-                    NinePRequest::Write { data, .. } => data.len(),
-                    NinePRequest::Walk { names, .. } => {
-                        names.iter().map(String::len).sum::<usize>()
-                    }
-                    NinePRequest::Create { name, .. } | NinePRequest::Mkdir { name, .. } => {
-                        name.len()
-                    }
-                    _ => 0,
-                }
-            }
+            Value::NinePReq(req) => Value::ninep_request_len(req),
             Value::NinePResp(resp) => {
                 16 + match resp {
                     NinePResponse::Data(d) => d.len(),
@@ -192,6 +195,17 @@ impl Value {
                 }
             }
             Value::Frame(f) => 8 + f.as_ref().map_or(0, Frame::wire_len),
+        }
+    }
+
+    /// [`Value::byte_len`] of `Value::NinePReq(req)`, sized from the
+    /// borrowed request (no clone needed to ask).
+    pub fn ninep_request_len(req: &NinePRequest) -> usize {
+        16 + match req {
+            NinePRequest::Write { data, .. } => data.len(),
+            NinePRequest::Walk { names, .. } => names.iter().map(String::len).sum::<usize>(),
+            NinePRequest::Create { name, .. } | NinePRequest::Mkdir { name, .. } => name.len(),
+            _ => 0,
         }
     }
 }
@@ -246,13 +260,13 @@ impl From<String> for Value {
 
 impl From<Vec<u8>> for Value {
     fn from(v: Vec<u8>) -> Self {
-        Value::Bytes(v)
+        Value::Bytes(Payload::from(v))
     }
 }
 
 impl From<&[u8]> for Value {
     fn from(v: &[u8]) -> Self {
-        Value::Bytes(v.to_vec())
+        Value::Bytes(Payload::from(v))
     }
 }
 
@@ -280,12 +294,12 @@ mod tests {
 
     #[test]
     fn byte_len_tracks_payload_size() {
-        assert!(Value::Bytes(vec![0; 100]).byte_len() >= 100);
+        assert!(Value::Bytes(Payload::from(&[0; 100])).byte_len() >= 100);
         assert!(Value::Unit.byte_len() < Value::from("hello world").byte_len());
         let req = Value::NinePReq(NinePRequest::Write {
             fid: Fid(1),
             offset: 0,
-            data: vec![0; 64],
+            data: Payload::from(&[0; 64]),
         });
         assert!(req.byte_len() >= 64);
     }
@@ -299,7 +313,7 @@ mod tests {
             seq: 0,
             ack: 0,
             flags: TcpFlags::ACK,
-            payload: vec![1],
+            payload: Payload::from(&[1]),
         };
         let v = Value::Frame(Some(f.clone()));
         assert_eq!(v.as_frame().unwrap(), Some(&f));
@@ -308,7 +322,7 @@ mod tests {
     #[test]
     fn display_is_compact() {
         assert_eq!(Value::Unit.to_string(), "()");
-        assert_eq!(Value::Bytes(vec![0; 3]).to_string(), "bytes[3]");
+        assert_eq!(Value::Bytes(Payload::from(&[0; 3])).to_string(), "bytes[3]");
         assert_eq!(Value::from("x").to_string(), "\"x\"");
     }
 
